@@ -50,7 +50,9 @@ class ModelParams:
     v_max: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "xi", tuple(float(v) for v in self.xi))
+        object.__setattr__(self, "v_max", float(self.v_max))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if len(self.xi) < 1:

@@ -9,12 +9,20 @@ racks -- owner block i holds {P_i, S1_{i+1}, S2_{i+2}} on four machines
 Loss probabilities come from the survival generating polynomial
 (1 + 7x + 21x^2 + 34x^3 + 30x^4 + 12x^5)^n, whose coefficients count the
 failure subsets of a 7-machine group that destroy no half; see failsim
-for the brute-force reconstruction of those counts.  All combinatorics
-are exact (big integers / rationals) with a log-domain fast path.
+for the brute-force reconstruction of those counts.  The polynomial's
+coefficients come from J. C. P. Miller's power recurrence, exact in
+integers and cached per n.
+
+Three loss routes must agree.  `closed-form`, 1 - (1 - p^3 - p^4 + p^7)^n
+in exact rationals, is the production route; `exact-bigint` (the double
+sum over failure counts in big integers, evaluated by Horner's rule) and
+`log-domain` (the same sum in log space) are independent oracles that
+share only the survival polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,30 +194,29 @@ def base_polynomial() -> tuple[int, ...]:
     return BASE_COEFFS
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
+@functools.lru_cache(maxsize=64)
 def loss_polynomial(n: int) -> tuple[int, ...]:
     """Exact integer coefficients of the n-th power of the base polynomial
-    (length 5n + 1), via binary-exponentiation convolution."""
+    (length 5n + 1), cached per n.
+
+    J. C. P. Miller's recurrence for powers of a power series (Knuth,
+    TAOCP Vol. 2, 4.7): with c_0 = 1,
+    k c_k = sum_{j=1..5} ((n + 1) j - k) a_j c_{k-j}.  The division by k
+    is exact because a_0 = 1, and is checked.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    result = [1]
-    square = list(BASE_COEFFS)
-    e = n
-    while e:
-        if e & 1:
-            result = _convolve(result, square)
-        e >>= 1
-        if e:
-            square = _convolve(square, square)
-    return tuple(result)
+    deg = len(BASE_COEFFS) - 1
+    coeffs = [1]
+    for k in range(1, deg * n + 1):
+        s = 0
+        for j in range(1, min(k, deg) + 1):
+            s += ((n + 1) * j - k) * BASE_COEFFS[j] * coeffs[k - j]
+        c, r = divmod(s, k)
+        if r:
+            raise ArithmeticError(f"inexact Miller step at n={n}, k={k}")
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def prob_no_loss(n: int, f: int) -> float:
@@ -245,28 +252,31 @@ class LossResult:
 def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
     # Work over the common denominator d^(7n) with p = a/d exactly, so the
     # whole double sum stays in integer arithmetic until the final division.
+    # Homogeneous Horner from f = 7n down to 3 keeps every step a big-by-small
+    # product: acc = sum_f w_f a^(f-3) b^(7n-f), then total = a^3 acc.
     m = MACHINES_PER_NODE * n
     fp = Fraction(p)
     a, d = fp.numerator, fp.denominator
     b = d - a
     coeffs = loss_polynomial(n)
 
-    total = 0
+    acc = 0
+    bpow = 1        # b^(m-f)
+    comb = 1        # C(m, f)
     terms = [] if want_terms else None
-    denom = Fraction(d) ** m
-    for f in range(3, m + 1):
+    denom = d**m
+    for f in range(m, 2, -1):
         c_f = coeffs[f] if f <= 5 * n else 0
-        weight = math.comb(m, f) - c_f
-        if weight == 0:
-            continue
-        num = weight * a**f * b ** (m - f)
-        total += num
-        if terms is not None:
-            terms.append((f, float(Fraction(num) / denom)))
+        weight = comb - c_f
+        acc = acc * a + weight * bpow
+        if terms is not None and weight:
+            terms.append((f, weight * a**f * bpow / denom))
+        bpow *= b
+        comb = comb * f // (m - f + 1)
     return LossResult(
-        p_loss=float(Fraction(total) / denom),
+        p_loss=acc * a**3 / denom,
         method="exact-bigint",
-        per_f_terms=tuple(terms) if terms is not None else None,
+        per_f_terms=tuple(reversed(terms)) if terms is not None else None,
     )
 
 
@@ -320,12 +330,19 @@ def prob_data_loss(
     """Probability that random machine failures (each machine independently
     fails with probability p) destroy every copy of some data half.
 
-    exact-bigint   -- the double sum over failure counts f = 3..5n (weighted
-                      by the survival polynomial) and f = 5n+1..7n, in exact
-                      integer arithmetic.
-    log-domain     -- the same sum in log space with compensated summation.
     closed-form    -- 1 - (1 - p^3 - p^4 + p^7)^n, the independent-group
-                      reduction; algebraically equal to exact-bigint.
+                      reduction in exact rationals; the production route.
+    exact-bigint   -- oracle: the double sum over failure counts f = 3..5n
+                      (weighted by the survival polynomial) and f = 5n+1..7n,
+                      in exact integers, evaluated by homogeneous Horner from
+                      f = 7n down so every step is a big-by-small product.
+    log-domain     -- oracle: the same sum in log space with compensated
+                      summation.
+
+    Both float results of the exact routes are correctly rounded values of
+    the same rational, so exact-bigint and closed-form agree bit for bit.
+    want_terms asks the two sums for their per-f summands in increasing f;
+    closed-form has none.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cloudalloc
 from cloudalloc.cli import run
 
 
@@ -163,13 +167,20 @@ class TestAnalysisCommands:
              "--transient", "200", "--samples", "4", "--lyap-iters", "1000"]
         )
         assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        out = capsys.readouterr().out
+        lines = out.strip().splitlines()
         assert lines[2] == "alpha,sample,v_c,lambda_max,divergent"
         data = [row.split(",") for row in lines[3:]]
         live_values = {row[0] for row in data if row[4] == "0"}
         assert len(data) >= 3
         for value in live_values:
             assert sum(1 for row in data if row[0] == value) == 4
+        # swept values reach the CSV as plain floats, not numpy scalar reprs
+        assert "np." not in out
+        for row in data:
+            for cell in row:
+                if cell:
+                    float(cell)
 
     def test_storage_report_columns(self, capsys):
         rc = run(
@@ -186,6 +197,17 @@ class TestAnalysisCommands:
         assert run(["placement", "--nodes", "3"]) == 0
         out = capsys.readouterr().out
         assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in out
+
+    def test_module_entry_point(self):
+        src = str(Path(cloudalloc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cloudalloc.cli", "placement", "--nodes", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in proc.stdout
 
     def test_placement_json(self, capsys):
         assert run(["placement", "--nodes", "3", "--format", "json"]) == 0

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudalloc.replication import (
     BASE_COEFFS,
@@ -20,6 +22,39 @@ from cloudalloc.replication import (
 
 def block_members(block):
     return [str(e) for e in block.entries]
+
+
+def convolution_power(n):
+    """Oracle: (1 + 7x + ... + 12x^5)^n by binary-exponentiation convolution."""
+
+    def convolve(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+
+    result, square = [1], list(BASE_COEFFS)
+    while n:
+        if n & 1:
+            result = convolve(result, square)
+        n >>= 1
+        if n:
+            square = convolve(square, square)
+    return tuple(result)
+
+
+def per_f_exact_loss(n, p):
+    """Oracle: sum_f (C(7n,f) - c_f) a^f b^(7n-f) / d^(7n), each term built afresh."""
+    m = 7 * n
+    fp = Fraction(p)
+    a, d = fp.numerator, fp.denominator
+    coeffs = convolution_power(n)
+    total = 0
+    for f in range(3, m + 1):
+        c_f = coeffs[f] if f <= 5 * n else 0
+        total += (math.comb(m, f) - c_f) * a**f * (d - a) ** (m - f)
+    return float(Fraction(total) / Fraction(d) ** m)
 
 
 class TestPlacement:
@@ -122,6 +157,10 @@ class TestLossPolynomial:
     def test_length(self):
         assert len(loss_polynomial(7)) == 36
 
+    def test_matches_convolution_oracle(self):
+        for n in range(1, 61):
+            assert loss_polynomial(n) == convolution_power(n), n
+
     def test_coefficients_bounded_by_binomials(self):
         for n in (3, 5, 10):
             coeffs = loss_polynomial(n)
@@ -185,6 +224,24 @@ class TestProbDataLoss:
                 e = prob_data_loss(n, p, "exact-bigint").p_loss
                 l = prob_data_loss(n, p, "log-domain").p_loss
                 assert l == pytest.approx(e, rel=1e-10)
+
+    def test_exact_matches_per_f_oracle(self):
+        for n in (1, 2, 3, 7, 10, 25):
+            for p in (0.0, 1e-300, 0.0013, 0.01, 0.1, 1 / 3, 0.5, 0.9, 1.0):
+                got = prob_data_loss(n, p, "exact-bigint").p_loss
+                assert got == per_f_exact_loss(n, p), (n, p)
+                # both routes round the same rational once
+                assert got == prob_data_loss(n, p, "closed-form").p_loss, (n, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        p=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-6, 1.0)),
+    )
+    def test_three_routes_agree(self, n, p):
+        exact = prob_data_loss(n, p, "exact-bigint").p_loss
+        assert prob_data_loss(n, p, "closed-form").p_loss == pytest.approx(exact, rel=1e-12)
+        assert prob_data_loss(n, p, "log-domain").p_loss == pytest.approx(exact, rel=1e-10)
 
     def test_monotone_in_p(self):
         grid = [k / 100 for k in range(0, 101)]
