@@ -1,8 +1,10 @@
 """Stability, Lyapunov, and bifurcation analysis of the two-user map.
 
-Everything here works on the 3-vector X = (v_c, x1, x2).  The linear
-algebra is intentionally small (3x3); numpy is used for eigenvalues and
-the QR re-orthonormalization inside the Lyapunov loop.
+Everything here works on the 3-vector X = (v_c, x1, x2).  numpy serves
+the one-off 3x3 linear algebra (eigenvalues, the Newton solve).  Orbits
+with a tangent frame -- Lyapunov spectra and bifurcation sweeps -- run in
+one plain-float kernel, `_tangent_orbit`, which re-orthonormalizes the
+frame by unrolled modified Gram-Schmidt and makes no per-step numpy call.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from enum import Enum
 import numpy as np
 
 from .model import (
-    DIVERGENCE_BOUND,
     DivergenceError,
     ModelParams,
     SystemState,
+    check_divergence,
     step_two_user_raw,
+    two_user_orbit,
 )
 
 
@@ -256,49 +259,111 @@ class LyapunovSpectrum:
         return self.exponents[0]
 
 
+def _tangent_orbit(
+    params: ModelParams,
+    s0: SystemState,
+    transient: int,
+    samples: int,
+    iterations: int,
+    history: bool,
+) -> tuple[list[float], tuple[float, float, float], list[tuple[float, float, float]]]:
+    """The one orbit + tangent-frame kernel of the two-user map, in plain floats.
+
+    Runs `transient + samples` raw stages from s0 and keeps v_c of the last
+    `samples`; then `iterations` more stages carrying an orthonormal tangent
+    frame (Benettin et al., Meccanica 15, 1980).  Each stage maps the frame
+    columns q_j by the Jacobian at the current state and re-orthonormalizes
+    them by modified Gram-Schmidt, whose stretch factors r_jj equal |R_jj|
+    of a QR factorization.  Returns (v samples, the three log-stretch sums,
+    the running means sums/k every 100 stages before the last, in column
+    order; empty unless `history`).
+
+    DivergenceError carries the absolute stage, counted from s0.l across
+    all three phases.  A column the Jacobian annihilates (r_jj == 0, as at
+    the first stage when xi1 or xi2 is 0) adds -inf to its sum and is
+    replaced by the completion a Householder QR would give.
+    """
+    if iterations < 1000:
+        raise ValueError(f"iterations must be >= 1000, got {iterations}")
+    a, k1, k2 = params.alpha, params.xi1, params.xi2
+    l, v, (x1, x2) = s0.l, s0.v_c, s0.x
+    first_sample = s0.l + transient + 1
+    v_samples = []
+    for l, v, x1, x2 in two_user_orbit(params, s0, transient + samples):
+        if l >= first_sample:
+            v_samples.append(v)
+
+    sqrt, log = math.sqrt, math.log
+    # the frame as nine floats: q_ij is component i of column j
+    q11, q21, q31 = 1.0, 0.0, 0.0
+    q12, q22, q32 = 0.0, 1.0, 0.0
+    q13, q23, q33 = 0.0, 0.0, 1.0
+    s1 = s2 = s3 = 0.0
+    means = []
+    for k in range(1, iterations + 1):
+        # Jacobian rows: (a, k1, -k2), (j21, j22, -k2), (j31, k1, j33)
+        j21, j22, j31, j33 = -k1 * x1, -k1 * v, k2 * x2, k2 * v
+
+        m1 = a * q11 + k1 * q21 - k2 * q31
+        m2 = j21 * q11 + j22 * q21 - k2 * q31
+        m3 = j31 * q11 + k1 * q21 + j33 * q31
+        r = sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+        if r == 0.0:
+            m1, m2, m3, r, s1 = 1.0, 0.0, 0.0, 1.0, -math.inf
+        s1 += log(r)
+        q11, q21, q31 = m1 / r, m2 / r, m3 / r
+
+        m1 = a * q12 + k1 * q22 - k2 * q32
+        m2 = j21 * q12 + j22 * q22 - k2 * q32
+        m3 = j31 * q12 + k1 * q22 + j33 * q32
+        d = q11 * m1 + q21 * m2 + q31 * m3
+        m1, m2, m3 = m1 - d * q11, m2 - d * q21, m3 - d * q31
+        r = sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+        if r == 0.0:
+            # the reflection carrying e1 to +-q1 carries e2 to this unit vector
+            t = q21 / (1.0 + abs(q11))
+            m1, m2, m3 = -t * (q11 + math.copysign(1.0, q11)), 1.0 - t * q21, -t * q31
+            r, s2 = 1.0, -math.inf
+        s2 += log(r)
+        q12, q22, q32 = m1 / r, m2 / r, m3 / r
+
+        m1 = a * q13 + k1 * q23 - k2 * q33
+        m2 = j21 * q13 + j22 * q23 - k2 * q33
+        m3 = j31 * q13 + k1 * q23 + j33 * q33
+        d = q11 * m1 + q21 * m2 + q31 * m3
+        m1, m2, m3 = m1 - d * q11, m2 - d * q21, m3 - d * q31
+        d = q12 * m1 + q22 * m2 + q32 * m3
+        m1, m2, m3 = m1 - d * q12, m2 - d * q22, m3 - d * q32
+        r = sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+        if r == 0.0:
+            m1, m2, m3 = q21 * q32 - q31 * q22, q31 * q12 - q11 * q32, q11 * q22 - q21 * q12
+            r, s3 = 1.0, -math.inf
+        s3 += log(r)
+        q13, q23, q33 = m1 / r, m2 / r, m3 / r
+
+        v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
+        check_divergence(l + k, (v, x1, x2))
+        if history and k % 100 == 0 and k < iterations:
+            means.append((s1 / k, s2 / k, s3 / k))
+    return v_samples, (s1, s2, s3), means
+
+
 def lyapunov_spectrum(
     params: ModelParams, s0: SystemState, iterations: int = 100_000
 ) -> LyapunovSpectrum:
     """Full Lyapunov spectrum along the orbit of s0.
 
     Propagates an orthonormal tangent frame with the stage Jacobian and
-    re-orthonormalizes by QR each step; the per-direction log stretch
-    factors, averaged over the run, estimate the exponents.  This is the
-    numerically stable equivalent of eigen-analyzing the accumulated
-    tangent product, which overflows after a few dozen stages.
+    re-orthonormalizes it by modified Gram-Schmidt each step; the
+    per-direction log stretch factors, averaged over the run, estimate the
+    exponents.  This is the numerically stable equivalent of
+    eigen-analyzing the accumulated tangent product, which overflows after
+    a few dozen stages.  The work is done by `_tangent_orbit` in plain
+    floats, with no per-step numpy call.
     """
-    if iterations < 1000:
-        raise ValueError(f"iterations must be >= 1000, got {iterations}")
-    a, k1, k2 = params.alpha, params.xi1, params.xi2
-    v, x1, x2 = s0.v_c, s0.x[0], s0.x[1]
-
-    frame = np.eye(3)
-    sums = np.zeros(3)
-    history = []
-    with np.errstate(divide="ignore"):
-        for k in range(iterations):
-            jac = np.array(
-                [
-                    [a, k1, -k2],
-                    [-k1 * x1, -k1 * v, -k2],
-                    [k2 * x2, k1, k2 * v],
-                ]
-            )
-            frame, r = np.linalg.qr(jac @ frame)
-            sums += np.log(np.abs(np.diag(r)))
-
-            v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
-            for c in (v, x1, x2):
-                if not math.isfinite(c) or abs(c) > DIVERGENCE_BOUND:
-                    raise DivergenceError(s0.l + k + 1, c)
-
-            done = k + 1
-            if done % 100 == 0 and done < iterations:
-                est = np.sort(sums / done)[::-1]
-                history.append(tuple(float(e) for e in est))
-
-    final = np.sort(sums / iterations)[::-1]
-    exponents = tuple(float(e) for e in final)
+    _, sums, means = _tangent_orbit(params, s0, 0, 0, iterations, True)
+    history = [tuple(sorted(m, reverse=True)) for m in means]
+    exponents = tuple(sorted((s / iterations for s in sums), reverse=True))
     history.append(exponents)
     return LyapunovSpectrum(
         exponents=exponents, iterations=iterations, history=tuple(history)
@@ -332,6 +397,7 @@ class GridPointResult:
     v_samples: tuple[float, ...]
     lambda_max: float          # nan when divergent
     divergent: bool
+    divergence_stage: int | None   # stage that left the bound, counted from s0.l
 
 
 @dataclass(frozen=True)
@@ -365,9 +431,10 @@ def bifurcation_scan(
 ) -> BifurcationScan:
     """Sweep one parameter over a uniform grid; per grid point, record
     `samples` post-transient capacity values and the largest Lyapunov
-    exponent.  Divergent grid points are marked, not fatal.  Each grid
-    point restarts from the same s0, so results are independent of
-    evaluation order.
+    exponent along the `lyap_iterations` stages that follow them.
+    Divergent grid points are marked with the stage that left the bound,
+    not fatal.  Each grid point restarts from the same s0, so results are
+    independent of evaluation order.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
@@ -378,41 +445,17 @@ def bifurcation_scan(
     results = []
     for value in grid:
         p = _with_swept(base_params, param, value)
-        a, k1, k2 = p.alpha, p.xi1, p.xi2
-        v, x1, x2 = s0.v_c, s0.x[0], s0.x[1]
         try:
-            for k in range(transient):
-                v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
-                for c in (v, x1, x2):
-                    if not math.isfinite(c) or abs(c) > DIVERGENCE_BOUND:
-                        raise DivergenceError(s0.l + k + 1, c)
-            v_samples = []
-            for k in range(samples):
-                v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
-                for c in (v, x1, x2):
-                    if not math.isfinite(c) or abs(c) > DIVERGENCE_BOUND:
-                        raise DivergenceError(s0.l + transient + k + 1, c)
-                v_samples.append(v)
-            spec = lyapunov_spectrum(
-                p, SystemState(l=0, v_c=v, x=(x1, x2)), iterations=lyap_iterations
+            v_samples, sums, _ = _tangent_orbit(
+                p, s0, transient, samples, lyap_iterations, False
             )
-            results.append(
-                GridPointResult(
-                    value=float(value),
-                    v_samples=tuple(v_samples),
-                    lambda_max=spec.largest,
-                    divergent=False,
-                )
+        except DivergenceError as exc:
+            gp = GridPointResult(float(value), (), math.nan, True, exc.stage)
+        else:
+            gp = GridPointResult(
+                float(value), tuple(v_samples), max(sums) / lyap_iterations, False, None
             )
-        except DivergenceError:
-            results.append(
-                GridPointResult(
-                    value=float(value),
-                    v_samples=(),
-                    lambda_max=math.nan,
-                    divergent=True,
-                )
-            )
+        results.append(gp)
     return BifurcationScan(
         swept_parameter=param,
         grid=tuple(float(g) for g in grid),

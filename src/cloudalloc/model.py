@@ -167,10 +167,24 @@ class Trajectory:
         return True
 
 
-def _check_divergence(stage: int, components: tuple[float, ...]) -> None:
+def check_divergence(stage: int, components: tuple[float, ...]) -> None:
+    """The divergence predicate, shared by every orbit loop: raise
+    DivergenceError at `stage` for the first component that is not finite
+    or exceeds DIVERGENCE_BOUND.  One comparison per component covers all
+    three cases, because NaN and infinities fail `abs(c) <= bound`."""
     for c in components:
-        if not math.isfinite(c) or abs(c) > DIVERGENCE_BOUND:
+        if not abs(c) <= DIVERGENCE_BOUND:
             raise DivergenceError(stage, c)
+
+
+def _chain_sum(values) -> float:
+    """Left-to-right sum seeded with the first term rather than 0.0, so a
+    lone -0.0 keeps its sign (0.0 + -0.0 is +0.0); an empty sum is 0.0."""
+    it = iter(values)
+    total = next(it, 0.0)
+    for t in it:
+        total += t
+    return total
 
 
 def step_general(params: ModelParams, s: SystemState) -> SystemState:
@@ -189,21 +203,14 @@ def step_general(params: ModelParams, s: SystemState) -> SystemState:
         sign = -1.0 if i % 2 else 1.0
         terms.append((sign * xi_i) * x_i)
 
-    total = 0.0
-    for t in terms:
-        total += t
-    v_next = params.alpha * s.v_c - total
-
-    x_next = []
-    for i, t_i in enumerate(terms):
-        other = 0.0
-        for j, t_j in enumerate(terms):
-            if j != i:
-                other += t_j
-        x_next.append(t_i * s.v_c - other)
+    v_next = params.alpha * s.v_c - _chain_sum(terms)
+    x_next = [
+        t_i * s.v_c - _chain_sum(t_j for j, t_j in enumerate(terms) if j != i)
+        for i, t_i in enumerate(terms)
+    ]
 
     nxt = SystemState(l=s.l + 1, v_c=v_next, x=tuple(x_next))
-    _check_divergence(nxt.l, nxt.components())
+    check_divergence(nxt.l, nxt.components())
     return nxt
 
 
@@ -236,8 +243,21 @@ def step_two_user(params: ModelParams, s: SystemState) -> SystemState:
         params.alpha, params.xi[0], params.xi[1], s.v_c, s.x[0], s.x[1]
     )
     nxt = SystemState(l=s.l + 1, v_c=v, x=(x1, x2))
-    _check_divergence(nxt.l, nxt.components())
+    check_divergence(nxt.l, nxt.components())
     return nxt
+
+
+def two_user_orbit(params: ModelParams, s0: SystemState, steps: int):
+    """Yield (l, v_c, x1, x2) at stages s0.l + 1 through s0.l + steps of the
+    two-user map, as bare floats; raise DivergenceError at the first stage
+    that leaves the bound.  The raw loop behind `iterate` and the
+    dynamics kernels: no SystemState is built per stage."""
+    a, k1, k2 = params.alpha, params.xi1, params.xi2
+    v, (x1, x2) = s0.v_c, s0.x
+    for l in range(s0.l + 1, s0.l + steps + 1):
+        v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
+        check_divergence(l, (v, x1, x2))
+        yield l, v, x1, x2
 
 
 def iterate(
@@ -248,19 +268,33 @@ def iterate(
     The returned trajectory holds the states at stages s0.l + transient + 1
     through s0.l + steps; s0 itself is never included.  Raises
     DivergenceError (with the offending stage) if the orbit leaves the bound.
+    Two users take the raw loop of `two_user_orbit` and wrap only the kept
+    stages; other user counts chain `step_general`.  Both are bit-identical
+    to chaining `step_two_user` / `step_general`.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0 <= transient < steps:
         raise ValueError(f"transient must lie in [0, steps), got {transient}")
+    if len(s0.x) != params.n_users:
+        raise ValueError(
+            f"state has {len(s0.x)} demand components but params define {params.n_users} users"
+        )
 
-    step = step_two_user if params.n_users == 2 else step_general
-    state = s0
-    kept = []
-    for k in range(steps):
-        state = step(params, state)
-        if k >= transient:
-            kept.append(state)
+    if params.n_users == 2:
+        first_kept = s0.l + transient + 1
+        kept = [
+            SystemState(l=l, v_c=v, x=(x1, x2))
+            for l, v, x1, x2 in two_user_orbit(params, s0, steps)
+            if l >= first_kept
+        ]
+    else:
+        state = s0
+        kept = []
+        for k in range(steps):
+            state = step_general(params, state)
+            if k >= transient:
+                kept.append(state)
     return Trajectory(params=params, states=tuple(kept))
 
 

@@ -82,6 +82,7 @@ def routh_region_section() -> dict:
     xis = np.linspace(0.0, 2.0, 41)
     stable = 0
     pq_joint = 0
+    window_hits = 0
     total = 0
     for a in alphas:
         for x1 in xis:
@@ -92,13 +93,8 @@ def routh_region_section() -> dict:
                     pq_joint += 1
                 if dynamics.routh_classify(P, Q, R) is dynamics.RouthVerdict.STABLE:
                     stable += 1
-    window_hits = sum(
-        1
-        for a in alphas
-        for x1 in xis
-        for x2 in xis
-        if dynamics.stability_window(a, x1, x2)
-    )
+                if dynamics.stability_window(a, x1, x2):
+                    window_hits += 1
     return {
         "grid_points": total,
         "routh_stable_count": stable,

@@ -24,15 +24,87 @@ from cloudalloc.dynamics import (
     stability_report,
     stability_window,
 )
-from cloudalloc.model import DivergenceError, ModelParams, SystemState, step_two_user
+from cloudalloc.model import (
+    DIVERGENCE_BOUND,
+    DivergenceError,
+    ModelParams,
+    SystemState,
+    iterate,
+    step_two_user,
+    step_two_user_raw,
+)
 
 S0 = SystemState(l=0, v_c=0.01, x=(0.01, -0.01))
+# the four regimes of the benchmark's orbit workload
+ORBIT_REGIMES = ((0.96, 0.2, 1.18), (0.9, 1.4, 0.8), (0.6, 1.28, 1.23), (0.5, 0.1, 0.1))
 
 
 def params(alpha, xi1, xi2):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ModelParams.two_user(alpha, xi1, xi2)
+
+
+def qr_benettin(params_list, states, iterations):
+    """Test-only reference: the Householder-QR Benettin loop that
+    `lyapunov_spectrum` ran before the plain-float kernel -- Jacobian built
+    as an np.array, `frame, r = np.linalg.qr(jac @ frame)`, log |diag r| --
+    stacked over independent orbits so that one np.linalg.qr call serves
+    all of them.  Returns per orbit (history, None), or (None, stage) for an
+    orbit that left the bound, its stage counted from the state's l."""
+    n = len(states)
+    a = np.array([p.alpha for p in params_list])
+    k1 = np.array([p.xi1 for p in params_list])
+    k2 = np.array([p.xi2 for p in params_list])
+    v = np.array([s.v_c for s in states])
+    x1 = np.array([s.x[0] for s in states])
+    x2 = np.array([s.x[1] for s in states])
+
+    frame = np.tile(np.eye(3), (n, 1, 1))
+    sums = np.zeros((n, 3))
+    stage = [None] * n
+    history = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(iterations):
+            jac = np.stack(
+                [
+                    np.stack([a, k1, -k2], axis=-1),
+                    np.stack([-k1 * x1, -k1 * v, -k2], axis=-1),
+                    np.stack([k2 * x2, k1, k2 * v], axis=-1),
+                ],
+                axis=1,
+            )
+            frame, r = np.linalg.qr(jac @ frame)
+            sums += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+
+            v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
+            out = ~(
+                (np.abs(v) <= DIVERGENCE_BOUND)
+                & (np.abs(x1) <= DIVERGENCE_BOUND)
+                & (np.abs(x2) <= DIVERGENCE_BOUND)
+            )
+            for i in np.flatnonzero(out):
+                if stage[i] is None:
+                    stage[i] = states[i].l + k + 1
+            v[out] = x1[out] = x2[out] = 0.0  # park diverged orbits at the origin
+
+            done = k + 1
+            if done % 100 == 0 and done < iterations:
+                history.append(np.sort(sums / done, axis=1)[:, ::-1])
+    history.append(np.sort(sums / iterations, axis=1)[:, ::-1])
+    return [
+        (None, stage[i])
+        if stage[i] is not None
+        else ([tuple(float(e) for e in h[i]) for h in history], None)
+        for i in range(n)
+    ]
+
+
+def assert_histories_close(got, want, tol):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert x == y or abs(x - y) <= tol, (g, w)
 
 
 class TestJacobian:
@@ -228,6 +300,25 @@ class TestLyapunovSpectrum:
         with pytest.raises(ValueError):
             lyapunov_spectrum(params(0.5, 0.5, 0.5), S0, iterations=100)
 
+    def test_history_matches_householder_qr_reference(self):
+        plist = [params(*abc) for abc in ORBIT_REGIMES]
+        refs = qr_benettin(plist, [S0] * len(plist), 10_000)
+        for p, (ref_history, stage) in zip(plist, refs):
+            assert stage is None
+            spec = lyapunov_spectrum(p, S0, iterations=10_000)
+            assert_histories_close(spec.history, ref_history, 1e-12)
+
+    def test_annihilated_tangent_column(self):
+        # xi1 = 0 (xi2 = 0) zeroes the Jacobian's second (third) column, so
+        # the first Gram-Schmidt stage meets a zero vector: that direction
+        # contracts infinitely fast and the frame is completed, not divided by 0
+        for abc in ((0.6, 0.0, 1.23), (0.6, 1.28, 0.0)):
+            p = params(*abc)
+            spec = lyapunov_spectrum(p, S0, iterations=2000)
+            ((ref_history, _),) = qr_benettin([p], [S0], 2000)
+            assert spec.largest == pytest.approx(ref_history[-1][0], abs=1e-12)
+            assert spec.exponents[-1] == -math.inf
+
     def test_divergence_propagates(self):
         p = params(1.0, 2.0, 2.0)
         with pytest.raises(DivergenceError):
@@ -312,6 +403,65 @@ class TestBifurcationScan:
         assert ordered and chaotic
         assert min(ordered) < min(chaotic)
         assert max(ordered) < max(chaotic)
+
+    def test_acceptance_alpha_sweep_matches_householder_qr_reference(self):
+        base = params(0.5, 1.28, 1.23)
+        scan = bifurcation_scan(base, "alpha", 0.01, 1.0, 400, S0)
+        # reference: chained step_two_user for transient + samples, then the
+        # QR loop from each surviving end state, stages counted on from there
+        want = {}
+        ends = {}
+        for gp in scan.points:
+            p = params(gp.value, 1.28, 1.23)
+            s, vs = S0, []
+            try:
+                for k in range(1100):
+                    s = step_two_user(p, s)
+                    if k >= 1000:
+                        vs.append(s.v_c)
+            except DivergenceError as exc:
+                want[gp.value] = ((), exc.stage)
+            else:
+                want[gp.value] = (tuple(vs), None)
+                ends[gp.value] = (p, s)
+        refs = qr_benettin([p for p, _ in ends.values()], [s for _, s in ends.values()], 4000)
+        lambdas = {}
+        for value, (history, stage) in zip(ends, refs):
+            if stage is None:
+                lambdas[value] = history[-1][0]
+            else:
+                want[value] = ((), stage)
+
+        worst = 0.0
+        for gp in scan.points:
+            v_samples, stage = want[gp.value]
+            assert gp.divergent == (stage is not None)
+            assert gp.divergence_stage == stage
+            assert gp.v_samples == v_samples
+            if not gp.divergent:
+                worst = max(worst, abs(gp.lambda_max - lambdas[gp.value]))
+        assert worst <= 1e-12
+
+    def test_divergence_stage_matches_iterate(self):
+        base = params(0.5, 1.28, 1.23)
+        s0 = SystemState(l=5, v_c=0.01, x=(0.01, -0.01))
+        transient, samples, lyap = 1000, 100, 4000
+        scan = bifurcation_scan(
+            base, "alpha", 0.13, 0.17, 9, s0,
+            transient=transient, samples=samples, lyap_iterations=lyap,
+        )
+        stages = [gp.divergence_stage for gp in scan.points if gp.divergent]
+        # the grid diverges both before and inside the Lyapunov phase
+        assert min(stages) <= s0.l + transient + samples < max(stages)
+        for gp in scan.points:
+            p = params(gp.value, 1.28, 1.23)
+            if gp.divergent:
+                with pytest.raises(DivergenceError) as err:
+                    iterate(p, s0, steps=transient + samples + lyap)
+                assert gp.divergence_stage == err.value.stage
+            else:
+                assert gp.divergence_stage is None
+                iterate(p, s0, steps=transient + samples + lyap)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudalloc.model import (
     DIVERGENCE_BOUND,
@@ -218,6 +221,51 @@ class TestIterate:
         comps = [s.components() for s in traj.states]
         assert max(abs(c) for t in comps for c in t) < DIVERGENCE_BOUND
         assert len(set(comps)) == len(comps)
+
+
+def bits(s):
+    return (s.l, *(c.hex() for c in s.components()))
+
+
+class TestTwoUserPathsProperty:
+    """step_general, step_two_user and the raw two-user loop of iterate are
+    one map: same bits (signed zeros included) and same divergence stage."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        xi=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+        comps=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+        l=st.integers(0, 10**6),
+        steps=st.integers(1, 40),
+    )
+    def test_paths_agree_bit_for_bit(self, alpha, xi, comps, l, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = ModelParams(alpha=alpha, xi=xi)
+        s0 = state(comps[0], comps[1:], l=l)
+
+        chained, stage = [], None
+        s = s0
+        try:
+            for _ in range(steps):
+                nxt = step_general(p, s)
+                assert bits(step_two_user(p, s)) == bits(nxt)
+                chained.append(nxt)
+                s = nxt
+        except DivergenceError as exc:
+            stage = exc.stage
+            with pytest.raises(DivergenceError) as err:
+                step_two_user(p, s)
+            assert err.value.stage == stage
+
+        if stage is None:
+            traj = iterate(p, s0, steps=steps)
+            assert [bits(t) for t in traj.states] == [bits(c) for c in chained]
+        else:
+            with pytest.raises(DivergenceError) as err:
+                iterate(p, s0, steps=steps)
+            assert err.value.stage == stage
 
 
 class TestCheckConstraint:
