@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 
 from .model import (
     DIVERGENCE_BOUND,
-    ConstraintReport,
     DivergenceError,
     ModelParams,
     SystemState,
-    Trajectory,
-    check_constraint,
     iterate,
     step_general,
     step_two_user,
@@ -18,12 +15,9 @@ from .model import (
 
 __all__ = [
     "DIVERGENCE_BOUND",
-    "ConstraintReport",
     "DivergenceError",
     "ModelParams",
     "SystemState",
-    "Trajectory",
-    "check_constraint",
     "iterate",
     "step_general",
     "step_two_user",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -44,10 +45,13 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _comment_header(config: dict) -> str:
+    return f"# cloudalloc {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
+
+
 def _csv_document(config: dict, header: list[str], rows) -> str:
     buf = io.StringIO()
-    buf.write(f"# cloudalloc {__version__}\n")
-    buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+    buf.write(_comment_header(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -55,17 +59,31 @@ def _csv_document(config: dict, header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _finite_or_null(obj):
+    """RFC 8259 JSON has no infinities or NaN; they are written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _json_document(config: dict, result) -> str:
     return (
         json.dumps(
-            {
-                "artifact": "cloudalloc",
-                "version": __version__,
-                "config": config,
-                "result": result,
-            },
+            _finite_or_null(
+                {
+                    "artifact": "cloudalloc",
+                    "version": __version__,
+                    "config": config,
+                    "result": result,
+                }
+            ),
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         )
         + "\n"
     )
@@ -86,7 +104,6 @@ def _add_params(parser, with_state=True):
     parser.add_argument("--alpha", type=float, required=True)
     parser.add_argument("--xi1", type=float, required=True)
     parser.add_argument("--xi2", type=float, required=True)
-    parser.add_argument("--vmax", type=float, default=1.0)
     if with_state:
         parser.add_argument("--v0", type=float, default=0.01)
         parser.add_argument("--x1", type=float, default=0.01)
@@ -102,7 +119,7 @@ def _add_output(parser, formats=("csv", "json"), default=None):
 
 
 def _params(args) -> ModelParams:
-    return ModelParams.two_user(args.alpha, args.xi1, args.xi2, v_max=args.vmax)
+    return ModelParams.two_user(args.alpha, args.xi1, args.xi2)
 
 
 def _state(args) -> SystemState:
@@ -131,15 +148,13 @@ def _seed_list(text: str) -> list[tuple[float, float, float]]:
 
 def _cmd_iterate(args) -> int:
     params = _params(args)
-    traj = iterate(params, _state(args), steps=args.steps, transient=args.transient)
+    states = iterate(params, _state(args), steps=args.steps, transient=args.transient)
     config = _config_dict(args)
     if args.format == "json":
-        rows = [
-            {"l": s.l, "v_c": s.v_c, "x1": s.x[0], "x2": s.x[1]} for s in traj.states
-        ]
+        rows = [{"l": s.l, "v_c": s.v_c, "x1": s.x[0], "x2": s.x[1]} for s in states]
         _emit(_json_document(config, rows), args.out)
     else:
-        rows = [(s.l, repr(s.v_c), repr(s.x[0]), repr(s.x[1])) for s in traj.states]
+        rows = ((s.l, repr(s.v_c), repr(s.x[0]), repr(s.x[1])) for s in states)
         _emit(_csv_document(config, ["l", "v_c", "x1", "x2"], rows), args.out)
     return 0
 
@@ -274,8 +289,7 @@ def _cmd_placement(args) -> int:
         }
         _emit(_json_document(config, result), args.out)
     else:
-        doc = f"# cloudalloc {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
-        _emit(doc + replication.render_plan(plan), args.out)
+        _emit(_comment_header(config) + replication.render_plan(plan), args.out)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Stability, Lyapunov, and bifurcation analysis of the two-user map.
 
 Everything here works on the 3-vector X = (v_c, x1, x2).  numpy serves
-the one-off 3x3 linear algebra (eigenvalues, the Newton solve).  Orbits
+the one-off 3x3 linear algebra of the Newton solve.  Orbits
 with a tangent frame -- Lyapunov spectra and bifurcation sweeps -- run in
 one plain-float kernel, `_tangent_orbit`, which re-orthonormalizes the
 frame by unrolled modified Gram-Schmidt and makes no per-step numpy call.
@@ -35,12 +35,6 @@ class RouthVerdict(Enum):
     MARGINAL = "marginal"
 
 
-class ModulusVerdict(Enum):
-    INSIDE = "inside-unit-circle"
-    ON = "on"
-    OUTSIDE = "outside"
-
-
 class AttractorClass(Enum):
     FIXED_PERIODIC = "fixed/periodic"
     QUASIPERIODIC = "quasiperiodic"
@@ -66,6 +60,9 @@ def jacobian_at(params: ModelParams, point) -> np.ndarray:
         [[ alpha,    xi1,    -xi2  ],
          [-xi1*x1,  -xi1*v,  -xi2  ],
          [ xi2*x2,   xi1,     xi2*v]]
+
+    `_tangent_orbit` writes the same matrix inline; this array form is the
+    analytic reference the tests check that kernel against.
     """
     v, x1, x2 = (float(c) for c in point)
     a, k1, k2 = params.alpha, params.xi1, params.xi2
@@ -203,44 +200,6 @@ def hopf_alpha(xi1: float, xi2: float) -> float:
     if xi1 == xi2:
         raise SingularParametersError("hopf_alpha is undefined for xi1 == xi2")
     return (3.0 * (xi1 - xi2) ** 2 + 4.0 * xi1 * xi2) / (3.0 * (xi1 - xi2))
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Eigen-analysis of one candidate point, with the parameter-level
-    (P, Q, R) verdicts carried alongside.  `residual` is reported
-    verbatim, never thresholded: a large value means the point is not a
-    fixed point and the eigen-data describes the map there regardless."""
-
-    fixed_point: tuple[float, float, float]
-    residual: float
-    jacobian: np.ndarray
-    char_coeffs: tuple[float, float, float]
-    routh_verdict: RouthVerdict
-    modulus_verdict: ModulusVerdict
-    eigenvalues: tuple[complex, complex, complex]
-
-
-def stability_report(params: ModelParams, point, modulus_tol: float = 1e-9) -> StabilityReport:
-    jac = jacobian_at(params, point)
-    eig = np.linalg.eigvals(jac)
-    top = float(np.max(np.abs(eig)))
-    if top < 1.0 - modulus_tol:
-        modulus = ModulusVerdict.INSIDE
-    elif top > 1.0 + modulus_tol:
-        modulus = ModulusVerdict.OUTSIDE
-    else:
-        modulus = ModulusVerdict.ON
-    P, Q, R = characteristic_coeffs(params.alpha, params.xi1, params.xi2)
-    return StabilityReport(
-        fixed_point=tuple(float(c) for c in point),
-        residual=float(np.max(np.abs(map_residual(params, point)))),
-        jacobian=jac,
-        char_coeffs=(P, Q, R),
-        routh_verdict=routh_classify(P, Q, R),
-        modulus_verdict=modulus,
-        eigenvalues=tuple(complex(z) for z in eig),
-    )
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def verify_coefficients() -> tuple[int, ...]:
 def _group_local_ids(n: int, block: int, failed: frozenset[int]) -> set[int]:
     local = set()
     for local_id, machine_id in enumerate(
-        owner_machine_ids(n, block) + user_machine_ids(n, block)
+        owner_machine_ids(block) + user_machine_ids(n, block)
     ):
         if machine_id in failed:
             local.add(local_id)
@@ -241,7 +241,7 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
         masks = np.arange(1 << m, dtype=np.uint32)
         lost = np.zeros(masks.shape, dtype=bool)
         for block in range(1, n + 1):
-            owner_shift = owner_machine_ids(n, block)[0]
+            owner_shift = owner_machine_ids(block)[0]
             user_shift = user_machine_ids(n, block)[0]
             local = ((masks >> owner_shift) & 0xF) | (
                 ((masks >> user_shift) & 0x7) << 4

@@ -1,8 +1,7 @@
 """Storage-allocation reporting on top of the map.
 
-Converts raw orbit values into the operational quantities an operator
-would track: per-stage allocations in bytes, per-user demand rates,
-traffic differences between stages, and chunk-count sequences.
+Converts raw orbit values into the operational quantity an operator
+would track: per-stage allocations in bytes.
 
 Byte quantities are decimal throughout (1 Gb = 1000 Mb = 10^9 bytes).
 """
@@ -10,16 +9,15 @@ Byte quantities are decimal throughout (1 Gb = 1000 Mb = 10^9 bytes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
-from .model import ModelParams, SystemState, Trajectory, step_general, step_two_user
+from .model import ModelParams, SystemState, step_general, step_two_user
 
 MEGABYTE = 1_000_000.0
 GIGABYTE = 1_000_000_000.0
 
 
 class OutOfRangeError(IndexError):
-    """A requested stage or user index is not covered by the trajectory."""
+    """A requested stage precedes the initial stage of the report."""
 
 
 def _sign(value: float) -> int:
@@ -45,31 +43,6 @@ class AllocationRecord:
     l: int
     owner_alloc: float                      # alpha * v_c, in bytes
     user_alloc: tuple[UserAllocation, ...]  # xi_i * x_i, in bytes
-
-
-@dataclass(frozen=True)
-class NodeSeries:
-    """N_i = xi_i * x_i for one user over a contiguous stage range."""
-
-    user: int          # 1-based user index
-    start_stage: int
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ChunkSeries:
-    """Chunk counts under c' = c - c*v_c, kept as reals; rounding is a
-    display concern only."""
-
-    c0: float
-    values: tuple[float, ...]
-
-    def rounded(self) -> tuple[int, ...]:
-        """Half-up integer view of the counts."""
-        return tuple(
-            int(Decimal(v).quantize(Decimal(1), rounding=ROUND_HALF_UP))
-            for v in self.values
-        )
 
 
 def allocation_report(
@@ -111,45 +84,3 @@ def allocation_report(
         )
     return records
 
-
-def demand_rate(params: ModelParams, s: SystemState) -> tuple[float, ...]:
-    """Per-user demand rates q_i = xi_i * x_i * v_c at the given state."""
-    return tuple(xi_i * x_i * s.v_c for xi_i, x_i in zip(params.xi, s.x))
-
-
-def traffic_split(traj: Trajectory, user: int, l_lo: int, l_hi: int) -> float:
-    """Demand difference x_i(l_lo) - x_i(l_hi) for one user (1-based)."""
-    if not 1 <= user <= traj.params.n_users:
-        raise OutOfRangeError(f"user index {user} outside 1..{traj.params.n_users}")
-    if l_lo > l_hi:
-        raise OutOfRangeError(f"stage window is empty: {l_lo} > {l_hi}")
-    try:
-        lo_state = traj.state_at(l_lo)
-        hi_state = traj.state_at(l_hi)
-    except IndexError as exc:
-        raise OutOfRangeError(str(exc)) from exc
-    return lo_state.x[user - 1] - hi_state.x[user - 1]
-
-
-def node_series(traj: Trajectory, user: int) -> NodeSeries:
-    """Node sizes N_i = xi_i * x_i along the trajectory for one user."""
-    if not 1 <= user <= traj.params.n_users:
-        raise OutOfRangeError(f"user index {user} outside 1..{traj.params.n_users}")
-    xi_i = traj.params.xi[user - 1]
-    return NodeSeries(
-        user=user,
-        start_stage=traj.states[0].l if traj.states else 0,
-        values=tuple(xi_i * s.x[user - 1] for s in traj.states),
-    )
-
-
-def chunk_sequence(c0: float, v_series) -> ChunkSeries:
-    """Chunk counts from c0 under c' = c - c*v for each capacity value."""
-    if c0 <= 0:
-        raise ValueError(f"initial chunk count must be > 0, got {c0}")
-    values = [float(c0)]
-    c = float(c0)
-    for v in v_series:
-        c = c - c * v
-        values.append(c)
-    return ChunkSeries(c0=float(c0), values=tuple(values))

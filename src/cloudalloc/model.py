@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # A state is declared divergent as soon as any component leaves this
 # bound (or stops being finite); the quadratic terms permit unbounded
@@ -38,7 +38,6 @@ class ModelParams:
 
     alpha: capacity rescale factor, 0 < alpha <= 1.
     xi:    per-user demand scale factors, all >= 0.
-    v_max: maximum owner capacity in storage units, > 0.
 
     The alternating-sign scale sum  sum_i (-1)^i xi_i  should not exceed 1;
     a violation is reported as a warning rather than rejected, since the
@@ -47,20 +46,16 @@ class ModelParams:
 
     alpha: float
     xi: tuple[float, ...]
-    v_max: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "xi", tuple(float(v) for v in self.xi))
-        object.__setattr__(self, "v_max", float(self.v_max))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if len(self.xi) < 1:
             raise ValueError("at least one user scale xi_i is required")
         if any(v < 0.0 for v in self.xi):
             raise ValueError(f"all xi_i must be >= 0, got {self.xi}")
-        if self.v_max <= 0.0:
-            raise ValueError(f"v_max must be > 0, got {self.v_max}")
         if self.signed_scale_sum() > 1.0:
             warnings.warn(
                 "alternating scale sum exceeds 1; the map is still iterated "
@@ -69,8 +64,8 @@ class ModelParams:
             )
 
     @classmethod
-    def two_user(cls, alpha: float, xi1: float, xi2: float, v_max: float = 1.0) -> "ModelParams":
-        return cls(alpha=alpha, xi=(xi1, xi2), v_max=v_max)
+    def two_user(cls, alpha: float, xi1: float, xi2: float) -> "ModelParams":
+        return cls(alpha=alpha, xi=(xi1, xi2))
 
     @property
     def n_users(self) -> int:
@@ -112,59 +107,6 @@ class SystemState:
 
     def components(self) -> tuple[float, ...]:
         return (self.v_c, *self.x)
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self.components())
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Truth values of the capacity constraint 0 < S <= alpha*v_c <= v_max,
-    where S is the alternating allocation sum at the given state."""
-
-    allocation_sum: float
-    scaled_capacity: float
-    v_max: float
-    sum_positive: bool
-    sum_within_capacity: bool
-    capacity_within_max: bool
-
-    @property
-    def satisfied(self) -> bool:
-        return self.sum_positive and self.sum_within_capacity and self.capacity_within_max
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Consecutive states of one orbit under fixed parameters."""
-
-    params: ModelParams
-    states: tuple[SystemState, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        for a, b in zip(self.states, self.states[1:]):
-            if b.l != a.l + 1:
-                raise ValueError(f"stages must be consecutive, got {a.l} -> {b.l}")
-
-    def state_at(self, l: int) -> SystemState:
-        if not self.states:
-            raise IndexError("empty trajectory")
-        offset = l - self.states[0].l
-        if not 0 <= offset < len(self.states):
-            raise IndexError(
-                f"stage {l} outside trajectory range "
-                f"[{self.states[0].l}, {self.states[-1].l}]"
-            )
-        return self.states[offset]
-
-    def replay_check(self) -> bool:
-        """True iff every stored transition reproduces under the map bit-for-bit."""
-        for a, b in zip(self.states, self.states[1:]):
-            c = step_general(self.params, a)
-            if c.v_c != b.v_c or c.x != b.x:
-                return False
-        return True
 
 
 def check_divergence(stage: int, components: tuple[float, ...]) -> None:
@@ -262,10 +204,10 @@ def two_user_orbit(params: ModelParams, s0: SystemState, steps: int):
 
 def iterate(
     params: ModelParams, s0: SystemState, steps: int, transient: int = 0
-) -> Trajectory:
+) -> tuple[SystemState, ...]:
     """Apply the map `steps` times from s0 and keep the last steps - transient states.
 
-    The returned trajectory holds the states at stages s0.l + transient + 1
+    The returned states are those at stages s0.l + transient + 1
     through s0.l + steps; s0 itself is never included.  Raises
     DivergenceError (with the offending stage) if the orbit leaves the bound.
     Two users take the raw loop of `two_user_orbit` and wrap only the kept
@@ -295,21 +237,5 @@ def iterate(
             state = step_general(params, state)
             if k >= transient:
                 kept.append(state)
-    return Trajectory(params=params, states=tuple(kept))
+    return tuple(kept)
 
-
-def check_constraint(params: ModelParams, s: SystemState) -> ConstraintReport:
-    """Report each clause of 0 < sum_i (-1)^i xi_i x_i <= alpha*v_c <= v_max."""
-    total = 0.0
-    for i, (xi_i, x_i) in enumerate(zip(params.xi, s.x), start=1):
-        sign = -1.0 if i % 2 else 1.0
-        total += (sign * xi_i) * x_i
-    scaled = params.alpha * s.v_c
-    return ConstraintReport(
-        allocation_sum=total,
-        scaled_capacity=scaled,
-        v_max=params.v_max,
-        sum_positive=total > 0.0,
-        sum_within_capacity=total <= scaled,
-        capacity_within_max=scaled <= params.v_max,
-    )

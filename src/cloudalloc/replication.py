@@ -61,7 +61,7 @@ class Machine:
     id: int
     rack: str           # "owner" or "user"
     block_index: int    # 1-based
-    hosts: tuple[tuple[int, str], ...]  # (node, half) pairs; half in {"A", "B"}
+    half: tuple[int, str]  # the one (node, half) it hosts; half in {"A", "B"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class Block:
     machine_ids: tuple[int, ...]
 
 
-def owner_machine_ids(n: int, block: int) -> tuple[int, ...]:
+def owner_machine_ids(block: int) -> tuple[int, ...]:
     """Machine ids of owner block `block` (1-based): four consecutive slots."""
     base = OWNER_MACHINES_PER_BLOCK * (block - 1)
     return tuple(range(base, base + OWNER_MACHINES_PER_BLOCK))
@@ -95,13 +95,8 @@ class PlacementPlan:
         """Machine ids hosting each (node, half) pair."""
         hosts: dict[tuple[int, str], list[int]] = {}
         for m in self.machines:
-            for key in m.hosts:
-                hosts.setdefault(key, []).append(m.id)
+            hosts.setdefault(m.half, []).append(m.id)
         return {k: tuple(sorted(v)) for k, v in sorted(hosts.items())}
-
-    def group_machine_ids(self, block: int) -> tuple[int, ...]:
-        """The 7-machine group of one node index: owner block + user block."""
-        return owner_machine_ids(self.n, block) + user_machine_ids(self.n, block)
 
 
 def _wrap(i: int, n: int) -> int:
@@ -125,7 +120,7 @@ def build_placement(n: int) -> PlacementPlan:
     for i in range(1, n + 1):
         s1 = _wrap(i + 1, n)
         s2 = _wrap(i + 2, n)
-        ids = owner_machine_ids(n, i)
+        ids = owner_machine_ids(i)
         owner_blocks.append(
             Block(
                 rack="owner",
@@ -138,10 +133,10 @@ def build_placement(n: int) -> PlacementPlan:
                 machine_ids=ids,
             )
         )
-        machines.append(Machine(ids[0], "owner", i, ((i, "A"),)))
-        machines.append(Machine(ids[1], "owner", i, ((i, "B"),)))
-        machines.append(Machine(ids[2], "owner", i, ((s1, "A"),)))
-        machines.append(Machine(ids[3], "owner", i, ((s2, "B"),)))
+        machines.append(Machine(ids[0], "owner", i, (i, "A")))
+        machines.append(Machine(ids[1], "owner", i, (i, "B")))
+        machines.append(Machine(ids[2], "owner", i, (s1, "A")))
+        machines.append(Machine(ids[3], "owner", i, (s2, "B")))
 
     for i in range(1, n + 1):
         e1 = i
@@ -160,9 +155,9 @@ def build_placement(n: int) -> PlacementPlan:
                 machine_ids=ids,
             )
         )
-        machines.append(Machine(ids[0], "user", i, ((e1, "A"),)))
-        machines.append(Machine(ids[1], "user", i, ((e2, "B"),)))
-        machines.append(Machine(ids[2], "user", i, ((e3, "A"),)))
+        machines.append(Machine(ids[0], "user", i, (e1, "A")))
+        machines.append(Machine(ids[1], "user", i, (e2, "B")))
+        machines.append(Machine(ids[2], "user", i, (e3, "A")))
 
     return PlacementPlan(
         n=n,
@@ -230,16 +225,6 @@ def prob_no_loss(n: int, f: int) -> float:
         return 0.0
     coeffs = loss_polynomial(n)
     return float(Fraction(coeffs[f], math.comb(MACHINES_PER_NODE * n, f)))
-
-
-def prob_f_failures(n: int, f: int, p: float) -> float:
-    """Binomial probability of exactly f failures among 7n machines."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    m = MACHINES_PER_NODE * n
-    if not 0 <= f <= m:
-        raise ValueError(f"f must lie in [0, {m}], got {f}")
-    return math.comb(m, f) * p**f * (1.0 - p) ** (m - f)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,16 @@ class TestIterate:
         )
         assert rc == 2
 
+    def test_divergence_writes_no_artifact(self, tmp_path):
+        target = tmp_path / "orbit.csv"
+        rc = run(
+            ["iterate", "--alpha", "1.0", "--xi1", "2", "--xi2", "2",
+             "--v0", "10", "--x1", "10", "--x2", "10", "--steps", "100",
+             "--out", str(target)]
+        )
+        assert rc == 2
+        assert not target.exists()
+
     def test_json_format(self, capsys):
         rc = run(
             ["iterate", "--alpha", "0.5", "--xi1", "1", "--xi2", "1",
@@ -74,6 +84,13 @@ class TestUsageErrors:
             ["iterate", "--alpha", "7", "--xi1", "1", "--xi2", "1", "--steps", "1"]
         ) == 1
 
+    def test_vmax_is_not_an_option(self, capsys):
+        assert run(
+            ["iterate", "--alpha", "0.5", "--xi1", "1", "--xi2", "1", "--steps", "1",
+             "--vmax", "2"]
+        ) == 1
+        assert "--vmax" in capsys.readouterr().err
+
     def test_io_failure_exit_code(self, capsys):
         rc = run(
             ["verify-coefficients", "--out", "/nonexistent-dir/x/y.json"]
@@ -97,6 +114,26 @@ class TestOutputs:
         assert run(["verify-coefficients", "--out", "counts.json"]) == 0
         doc = json.loads(read(tmp_path / "counts.json"))
         assert doc["result"]["match"] is True
+
+    def test_non_finite_values_are_strict_json_null(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-RFC-8259 constant {constant}")
+
+        # a tangent direction the Jacobian annihilates (xi1 = 0) gives -inf exponents
+        with pytest.warns(UserWarning):
+            rc = run(["lyapunov", "--alpha", "0.6", "--xi1", "0", "--xi2", "1.23",
+                      "--iters", "1000"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["result"]["exponents"][1:] == [None, None]
+
+        # a seed whose residual overflows
+        with pytest.warns(RuntimeWarning):
+            rc = run(["fixed-points", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
+                      "--seeds", "1e200,1e200,1e200"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["result"]["search"][0]["residual"] is None
 
     def test_stdout_when_no_out(self, capsys):
         assert run(["verify-coefficients"]) == 0

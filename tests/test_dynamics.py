@@ -8,7 +8,6 @@ import pytest
 from cloudalloc.dynamics import (
     AttractorClass,
     LyapunovSpectrum,
-    ModulusVerdict,
     RouthVerdict,
     SingularParametersError,
     bifurcation_scan,
@@ -21,7 +20,6 @@ from cloudalloc.dynamics import (
     map_residual,
     map_vector,
     routh_classify,
-    stability_report,
     stability_window,
 )
 from cloudalloc.model import (
@@ -241,29 +239,6 @@ class TestHopfAlpha:
     def test_equal_scales_singular(self):
         with pytest.raises(SingularParametersError):
             hopf_alpha(0.7, 0.7)
-
-
-class TestStabilityReport:
-    def test_eigenvalues_satisfy_jacobian_charpoly(self):
-        p = params(0.6, 1.25, 1.28)
-        rep = stability_report(p, (0.3, -0.2, 0.5))
-        coeffs = np.poly(rep.jacobian)
-        for lam in rep.eigenvalues:
-            val = coeffs[0] * lam**3 + coeffs[1] * lam**2 + coeffs[2] * lam + coeffs[3]
-            assert abs(val) < 1e-8
-
-    def test_residual_reported_verbatim(self):
-        p = params(0.6, 1.25, 1.28)
-        rep = stability_report(p, (1.0, -0.24, 0.234375))
-        assert rep.residual == pytest.approx(1.0, abs=1e-12)
-
-    def test_origin_modulus_verdicts(self):
-        inside = stability_report(params(0.96, 0.2, 1.18), (0.0, 0.0, 0.0))
-        assert inside.modulus_verdict is ModulusVerdict.INSIDE
-        outside = stability_report(params(0.9, 1.4, 0.8), (0.0, 0.0, 0.0))
-        assert outside.modulus_verdict is ModulusVerdict.OUTSIDE
-        on = stability_report(params(1.0, 0.5, 2.0), (0.0, 0.0, 0.0))
-        assert on.modulus_verdict is ModulusVerdict.ON
 
 
 class TestLyapunovSpectrum:

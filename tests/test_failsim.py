@@ -73,7 +73,7 @@ class TestScenarioLoss:
         primaries = [
             m.id
             for m in plan.machines
-            if m.rack == "owner" and m.block_index == 1 and m.hosts[0][0] == 1
+            if m.rack == "owner" and m.block_index == 1 and m.half[0] == 1
         ]
         assert len(primaries) == 2
         s = FailureScenario(n=3, failed=frozenset(primaries))

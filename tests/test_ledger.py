@@ -1,15 +1,7 @@
 import pytest
 
-from cloudalloc.ledger import (
-    GIGABYTE,
-    OutOfRangeError,
-    allocation_report,
-    chunk_sequence,
-    demand_rate,
-    node_series,
-    traffic_split,
-)
-from cloudalloc.model import ModelParams, SystemState, iterate, step_two_user
+from cloudalloc.ledger import GIGABYTE, OutOfRangeError, allocation_report
+from cloudalloc.model import ModelParams, SystemState, step_two_user
 
 
 def state(v, x, l=0):
@@ -75,116 +67,3 @@ class TestAllocationReport:
         with pytest.raises(OutOfRangeError):
             allocation_report(p, state(1.0, (0.0, 0.0), l=3), [1], 1.0)
 
-
-class TestDemandRate:
-    def test_direct_product(self):
-        p = ModelParams(alpha=0.5, xi=(1.25,))
-        (q,) = demand_rate(p, state(1.0, (0.08,)))
-        assert q == pytest.approx(0.1)
-
-    def test_zero_capacity_zero_rates(self):
-        p = ModelParams.two_user(0.5, 1.25, 1.28)
-        assert demand_rate(p, state(0.0, (0.3, 0.4))) == (0.0, 0.0)
-
-    def test_zero_demand_zero_rates(self):
-        p = ModelParams.two_user(0.5, 1.25, 1.28)
-        assert demand_rate(p, state(0.7, (0.0, 0.0))) == (0.0, 0.0)
-
-    def test_scaling_demand_scales_rate(self):
-        p = ModelParams.two_user(0.5, 1.25, 1.28)
-        base = demand_rate(p, state(0.7, (0.3, 0.4)))
-        doubled = demand_rate(p, state(0.7, (0.6, 0.8)))
-        # power-of-two scaling is exact in binary floats
-        assert doubled == tuple(2.0 * q for q in base)
-        tripled = demand_rate(p, state(0.7, (0.9, 1.2)))
-        for got, want in zip(tripled, base):
-            assert got == pytest.approx(3.0 * want, rel=1e-12)
-
-
-class TestTrafficSplit:
-    def make_traj(self):
-        p = ModelParams.two_user(0.6, 1.28, 1.23)
-        return iterate(p, state(0.01, (0.01, -0.01)), steps=50)
-
-    def test_equal_stages_zero(self):
-        traj = self.make_traj()
-        assert traffic_split(traj, 1, 10, 10) == 0.0
-
-    def test_constant_orbit_zero(self):
-        p = ModelParams.two_user(0.6, 1.28, 1.23)
-        traj = iterate(p, state(0.0, (0.0, 0.0)), steps=10)
-        assert traffic_split(traj, 2, 1, 10) == 0.0
-
-    def test_difference_matches_replay(self):
-        traj = self.make_traj()
-        p = traj.params
-        s = traj.states[0]
-        seen = {s.l: s}
-        for _ in range(10):
-            s = step_two_user(p, s)
-            seen[s.l] = s
-        expected = seen[2].x[0] - seen[8].x[0]
-        assert traffic_split(traj, 1, 2, 8) == expected
-
-    def test_out_of_range(self):
-        traj = self.make_traj()
-        with pytest.raises(OutOfRangeError):
-            traffic_split(traj, 1, 0, 10)   # trajectory starts at stage 1
-        with pytest.raises(OutOfRangeError):
-            traffic_split(traj, 1, 10, 900)
-        with pytest.raises(OutOfRangeError):
-            traffic_split(traj, 3, 1, 10)
-        with pytest.raises(OutOfRangeError):
-            traffic_split(traj, 1, 10, 5)
-
-
-class TestNodeSeries:
-    def test_values_are_scaled_demands(self):
-        p = ModelParams.two_user(0.6, 1.28, 1.23)
-        traj = iterate(p, state(0.01, (0.01, -0.01)), steps=20)
-        series = node_series(traj, 2)
-        assert series.user == 2
-        assert series.start_stage == 1
-        assert len(series.values) == 20
-        for s, value in zip(traj.states, series.values):
-            assert value == p.xi[1] * s.x[1]
-
-
-class TestChunkSequence:
-    def test_halving_recurrence(self):
-        cs = chunk_sequence(100.0, [0.5, 0.5, 0.5])
-        assert cs.values == (100.0, 50.0, 25.0, 12.5)
-
-    def test_zero_capacity_keeps_count(self):
-        cs = chunk_sequence(42.0, [0.0] * 5)
-        assert cs.values == (42.0,) * 6
-
-    def test_full_capacity_zeroes_from_second_entry(self):
-        cs = chunk_sequence(42.0, [1.0, 1.0, 1.0])
-        assert cs.values == (42.0, 0.0, 0.0, 0.0)
-
-    def test_stored_recurrence_is_exact(self):
-        import random
-
-        rng = random.Random(99)
-        vs = [rng.uniform(0.0, 1.0) for _ in range(30)]
-        cs = chunk_sequence(123.456, vs)
-        for c, c_next, v in zip(cs.values, cs.values[1:], vs):
-            assert c_next == c - c * v
-
-    def test_magnitude_nonincreasing_for_unit_interval_capacity(self):
-        import random
-
-        rng = random.Random(5)
-        vs = [rng.uniform(0.0, 1.0) for _ in range(100)]
-        cs = chunk_sequence(77.0, vs)
-        for a, b in zip(cs.values, cs.values[1:]):
-            assert abs(b) <= abs(a)
-
-    def test_display_rounding_half_up(self):
-        cs = chunk_sequence(100.0, [0.5, 0.5, 0.5])
-        assert cs.rounded() == (100, 50, 25, 13)
-
-    def test_positive_initial_count_required(self):
-        with pytest.raises(ValueError):
-            chunk_sequence(0.0, [0.5])

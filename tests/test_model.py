@@ -11,7 +11,6 @@ from cloudalloc.model import (
     DivergenceError,
     ModelParams,
     SystemState,
-    check_constraint,
     iterate,
     step_general,
     step_two_user,
@@ -37,10 +36,6 @@ class TestModelParams:
             ModelParams(alpha=0.5, xi=(0.2, -0.1))
         with pytest.raises(ValueError):
             ModelParams(alpha=0.5, xi=())
-
-    def test_v_max_positive(self):
-        with pytest.raises(ValueError):
-            ModelParams(alpha=0.5, xi=(0.5,), v_max=0.0)
 
     def test_scale_sum_violation_warns_but_accepts(self):
         with pytest.warns(UserWarning):
@@ -164,28 +159,28 @@ class TestIterate:
     def test_origin_yields_origin_copies(self):
         p = ModelParams.two_user(0.5, 1.0, 1.0)
         traj = iterate(p, state(0.0, (0.0, 0.0)), steps=100)
-        assert len(traj.states) == 100
+        assert len(traj) == 100
         # -0.0 == 0.0, so tuple equality is the right notion of "origin"
-        assert all(s.v_c == 0.0 and s.x == (0.0, 0.0) for s in traj.states)
-        assert [s.l for s in traj.states] == list(range(1, 101))
+        assert all(s.v_c == 0.0 and s.x == (0.0, 0.0) for s in traj)
+        assert [s.l for s in traj] == list(range(1, 101))
 
     def test_geometric_capacity_decay(self):
         p = ModelParams.two_user(0.5, 1.0, 1.0)
         traj = iterate(p, state(1.0, (0.0, 0.0)), steps=4)
-        assert [s.v_c for s in traj.states] == [0.5, 0.25, 0.125, 0.0625]
+        assert [s.v_c for s in traj] == [0.5, 0.25, 0.125, 0.0625]
 
     def test_decay_matches_power_law(self):
         p = ModelParams.two_user(0.7, 0.4, 0.9)
         traj = iterate(p, state(3.0, (0.0, 0.0)), steps=40)
-        for s in traj.states:
+        for s in traj:
             assert s.x == (0.0, 0.0)
             assert s.v_c == pytest.approx(0.7**s.l * 3.0, rel=1e-12)
 
     def test_transient_discard(self):
         p = ModelParams.two_user(0.5, 1.0, 1.0)
         traj = iterate(p, state(1.0, (0.0, 0.0)), steps=5, transient=3)
-        assert [s.l for s in traj.states] == [4, 5]
-        assert traj.states[0].v_c == 0.0625
+        assert [s.l for s in traj] == [4, 5]
+        assert traj[0].v_c == 0.0625
 
     def test_validation(self):
         p = ModelParams.two_user(0.5, 1.0, 1.0)
@@ -204,21 +199,23 @@ class TestIterate:
     def test_replay_reproduces_bit_for_bit(self):
         p = ModelParams.two_user(0.6, 1.28, 1.23)
         traj = iterate(p, state(0.01, (0.01, -0.01)), steps=500)
-        s = traj.states[0]
-        for expected in traj.states[1:]:
+        s = traj[0]
+        for expected in traj[1:]:
             s = step_two_user(p, s)
             assert s.v_c == expected.v_c and s.x == expected.x
-        assert traj.replay_check()
 
     def test_general_path_replay(self):
         p = ModelParams(alpha=0.9, xi=(0.3, 0.2, 0.1))
         traj = iterate(p, state(0.5, (0.1, 0.2, 0.3)), steps=50)
-        assert traj.replay_check()
+        s = traj[0]
+        for expected in traj[1:]:
+            s = step_general(p, s)
+            assert s.v_c == expected.v_c and s.x == expected.x
 
     def test_bounded_chaotic_orbit_never_repeats(self):
         p = ModelParams.two_user(0.6, 1.28, 1.23)
         traj = iterate(p, state(0.01, (0.01, -0.01)), steps=10_000)
-        comps = [s.components() for s in traj.states]
+        comps = [s.components() for s in traj]
         assert max(abs(c) for t in comps for c in t) < DIVERGENCE_BOUND
         assert len(set(comps)) == len(comps)
 
@@ -261,36 +258,9 @@ class TestTwoUserPathsProperty:
 
         if stage is None:
             traj = iterate(p, s0, steps=steps)
-            assert [bits(t) for t in traj.states] == [bits(c) for c in chained]
+            assert [bits(t) for t in traj] == [bits(c) for c in chained]
         else:
             with pytest.raises(DivergenceError) as err:
                 iterate(p, s0, steps=steps)
             assert err.value.stage == stage
 
-
-class TestCheckConstraint:
-    def test_all_clauses_hold(self):
-        p = ModelParams(alpha=0.8, xi=(0.3, 0.5), v_max=1.0)
-        rep = check_constraint(p, state(1.0, (1.0, 1.0)))
-        assert rep.allocation_sum == pytest.approx(0.2)
-        assert rep.sum_positive and rep.sum_within_capacity and rep.capacity_within_max
-        assert rep.satisfied
-
-    def test_zero_demands_violate_strict_lower_bound(self):
-        p = ModelParams(alpha=0.8, xi=(0.3, 0.5))
-        rep = check_constraint(p, state(1.0, (0.0, 0.0)))
-        assert rep.allocation_sum == 0.0
-        assert not rep.sum_positive
-        assert not rep.satisfied
-
-    def test_negative_sum_violates(self):
-        p = ModelParams(alpha=0.8, xi=(0.3, 0.5))
-        rep = check_constraint(p, state(1.0, (2.0, 0.0)))
-        assert rep.allocation_sum == pytest.approx(-0.6)
-        assert not rep.satisfied
-
-    def test_capacity_above_max_flagged(self):
-        p = ModelParams(alpha=0.8, xi=(0.3, 0.5), v_max=1.0)
-        rep = check_constraint(p, state(2.0, (1.0, 1.0)))
-        assert not rep.capacity_within_max
-        assert not rep.satisfied

@@ -13,10 +13,11 @@ from cloudalloc.replication import (
     build_placement,
     loss_curve,
     loss_polynomial,
+    owner_machine_ids,
     prob_data_loss,
-    prob_f_failures,
     prob_no_loss,
     render_plan,
+    user_machine_ids,
 )
 
 
@@ -90,8 +91,7 @@ class TestPlacement:
     def test_each_machine_hosts_one_half(self):
         plan = build_placement(6)
         for m in plan.machines:
-            assert len(m.hosts) == 1
-            node, half = m.hosts[0]
+            node, half = m.half
             assert 1 <= node <= 6 and half in ("A", "B")
 
     def test_cyclic_wraparound(self):
@@ -114,10 +114,9 @@ class TestPlacement:
         assert ids == list(range(28))
 
     def test_groups_partition_machines(self):
-        plan = build_placement(4)
         seen = set()
         for i in range(1, 5):
-            group = plan.group_machine_ids(i)
+            group = owner_machine_ids(i) + user_machine_ids(4, i)
             assert len(group) == 7
             seen.update(group)
         assert seen == set(range(28))
@@ -187,19 +186,6 @@ class TestProbNoLoss:
             prob_no_loss(3, 22)
         with pytest.raises(ValueError):
             prob_no_loss(3, -1)
-
-
-class TestProbFFailures:
-    def test_no_failures_certain_when_p_zero(self):
-        assert prob_f_failures(3, 0, 0.0) == 1.0
-        assert prob_f_failures(3, 1, 0.0) == 0.0
-
-    def test_all_fail_binomial_term(self):
-        assert prob_f_failures(3, 0, 0.5) == pytest.approx(0.5**21)
-
-    def test_sums_to_one(self):
-        total = sum(prob_f_failures(4, f, 0.3) for f in range(29))
-        assert total == pytest.approx(1.0, rel=1e-12)
 
 
 class TestProbDataLoss:
