@@ -227,6 +227,17 @@ def prob_no_loss(n: int, f: int) -> float:
     return float(Fraction(coeffs[f], math.comb(MACHINES_PER_NODE * n, f)))
 
 
+def prob_f_failures(n: int, f: int, p: float) -> float:
+    """Binomial probability of exactly f failures among 7n machines: the
+    weight that pairs with `prob_no_loss` in the loss sum (test reference)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    m = MACHINES_PER_NODE * n
+    if not 0 <= f <= m:
+        raise ValueError(f"f must lie in [0, {m}], got {f}")
+    return math.comb(m, f) * p**f * (1.0 - p) ** (m - f)
+
+
 @dataclass(frozen=True)
 class LossResult:
     p_loss: float

@@ -15,6 +15,7 @@ from cloudalloc.replication import (
     loss_polynomial,
     owner_machine_ids,
     prob_data_loss,
+    prob_f_failures,
     prob_no_loss,
     render_plan,
     user_machine_ids,
@@ -186,6 +187,30 @@ class TestProbNoLoss:
             prob_no_loss(3, 22)
         with pytest.raises(ValueError):
             prob_no_loss(3, -1)
+
+
+class TestProbFFailures:
+    def test_no_failures_certain_when_p_zero(self):
+        assert prob_f_failures(3, 0, 0.0) == 1.0
+        assert prob_f_failures(3, 1, 0.0) == 0.0
+
+    def test_all_fail_binomial_term(self):
+        assert prob_f_failures(3, 0, 0.5) == pytest.approx(0.5**21)
+
+    def test_sums_to_one(self):
+        total = sum(prob_f_failures(4, f, 0.3) for f in range(29))
+        assert total == pytest.approx(1.0, rel=1e-12)
+
+    def test_weights_loss_sum(self):
+        # P(loss) = sum_f P(f failures) * (1 - P(no loss | f)), the paper's sum
+        for n in (1, 3, 6):
+            for p in (0.01, 0.2, 0.5):
+                total = sum(
+                    prob_f_failures(n, f, p) * (1.0 - prob_no_loss(n, f))
+                    for f in range(7 * n + 1)
+                )
+                exact = prob_data_loss(n, p, "exact-bigint").p_loss
+                assert total == pytest.approx(exact, rel=1e-12), (n, p)
 
 
 class TestProbDataLoss:
