@@ -243,6 +243,8 @@ def _cmd_bifurcate(args) -> int:
 
 
 def _cmd_storage_report(args) -> int:
+    if not (math.isfinite(args.unit_scale) and args.unit_scale > 0):
+        raise UsageError(f"--unit-scale must be finite and > 0, got {args.unit_scale}")
     params = _params(args)
     records = ledger.allocation_report(
         params, _state(args), _int_list(args.stages), unit_scale=args.unit_scale

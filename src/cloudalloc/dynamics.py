@@ -92,6 +92,9 @@ def _fd_jacobian(params: ModelParams, point: np.ndarray, h: float = 1e-7) -> np.
     return np.column_stack(cols)
 
 
+# An overflowing seed gives inf/nan residuals; the search reports it as
+# non-converged, with a non-finite residual, instead of leaking numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def find_fixed_points(
     params: ModelParams,
     seeds,

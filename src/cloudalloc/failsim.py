@@ -26,7 +26,6 @@ import numpy as np
 from .replication import (
     MACHINES_PER_NODE,
     OWNER_MACHINES_PER_BLOCK,
-    USER_MACHINES_PER_BLOCK,
     PlacementPlan,
     build_placement,
     owner_machine_ids,
@@ -42,6 +41,11 @@ SCENARIO_MODES = ("group", "structural")
 # Philox stream `key=seed, jumped c times`, so trial t's draws depend only
 # on (seed, t // CHUNK, t % CHUNK) -- never on worker count or total trials.
 _CHUNK_TRIALS = 4096
+# A chunk's draws stream through one buffer of about this many float64s,
+# filled row slab by row slab.  The generator fills in C order from one
+# sequential stream, so the slabs together are exactly the block
+# `rng.random((rows, 7n))` would return: estimates do not depend on it.
+_SLAB_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -144,23 +148,39 @@ def _host_index_arrays(plan: PlacementPlan) -> tuple[np.ndarray, np.ndarray]:
     return idx_a, idx_b
 
 
+def _all_columns(failed: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per row and per hosting set, whether every listed column failed."""
+    out = failed[:, idx[:, 0]]
+    for k in range(1, idx.shape[1]):
+        out &= failed[:, idx[:, k]]
+    return out
+
+
 def _chunk_loss_count(
     seed: int, chunk: int, rows: int, n: int, p: float, mode: str,
     idx_a: np.ndarray | None, idx_b: np.ndarray | None,
 ) -> int:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-    failed = rng.random((rows, MACHINES_PER_NODE * n)) < p
-    if mode == "group":
-        owner = failed[:, : OWNER_MACHINES_PER_BLOCK * n]
-        user = failed[:, OWNER_MACHINES_PER_BLOCK * n :]
-        owner_fatal = owner.reshape(rows, n, OWNER_MACHINES_PER_BLOCK).all(axis=2)
-        user_fatal = user.reshape(rows, n, USER_MACHINES_PER_BLOCK).all(axis=2)
-        lost = (owner_fatal | user_fatal).any(axis=1)
-    else:
-        lost = failed[:, idx_a].all(axis=2).any(axis=1) | failed[:, idx_b].all(
-            axis=2
-        ).any(axis=1)
-    return int(lost.sum())
+    m = MACHINES_PER_NODE * n
+    owners = OWNER_MACHINES_PER_BLOCK * n
+    slab = max(1, _SLAB_DRAWS // m)
+    u = np.empty((min(slab, rows), m))
+    failed = np.empty(u.shape, dtype=bool)
+    losses = 0
+    for start in range(0, rows, slab):
+        r = min(slab, rows - start)
+        rng.random(out=u[:r])
+        f = np.less(u[:r], p, out=failed[:r])
+        if mode == "group":
+            # owner block i is columns 4(i-1)..4i-1, user block i the three
+            # columns from 4n + 3(i-1): strided views pick one member each
+            lost = f[:, 0:owners:4] & f[:, 1:owners:4] & f[:, 2:owners:4] & f[:, 3:owners:4]
+            lost |= f[:, owners::3] & f[:, owners + 1 :: 3] & f[:, owners + 2 :: 3]
+        else:
+            lost = _all_columns(f, idx_a)
+            lost |= _all_columns(f, idx_b)
+        losses += int(np.count_nonzero(lost.any(axis=1)))
+    return losses
 
 
 def mc_estimate(
@@ -229,6 +249,8 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     m = MACHINES_PER_NODE * n
+    masks = np.arange(1 << m, dtype=np.uint32)
+    lost = np.zeros(masks.shape, dtype=bool)
 
     if mode == "group":
         # per-group 7-bit fatality table built from the real predicate
@@ -238,31 +260,33 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
                 for mask in range(1 << MACHINES_PER_NODE)
             ]
         )
-        masks = np.arange(1 << m, dtype=np.uint32)
-        lost = np.zeros(masks.shape, dtype=bool)
+        local = np.empty_like(masks)
+        user = np.empty_like(masks)
         for block in range(1, n + 1):
-            owner_shift = owner_machine_ids(block)[0]
-            user_shift = user_machine_ids(n, block)[0]
-            local = ((masks >> owner_shift) & 0xF) | (
-                ((masks >> user_shift) & 0x7) << 4
-            )
+            np.right_shift(masks, owner_machine_ids(block)[0], out=local)
+            local &= 0xF
+            np.right_shift(masks, user_machine_ids(n, block)[0], out=user)
+            user &= 0x7
+            user <<= 4
+            local |= user
             lost |= table[local]
     elif mode == "structural":
         idx_a, idx_b = _host_index_arrays(build_placement(n))
-        masks = np.arange(1 << m, dtype=np.uint32)
-        lost = np.zeros(masks.shape, dtype=bool)
+        hit = np.empty_like(masks)
         for hosts in (*idx_a, *idx_b):
-            sub = np.ones(masks.shape, dtype=bool)
-            for machine in hosts:
-                sub &= (masks >> int(machine) & 1).astype(bool)
-            lost |= sub
+            hm = np.uint32(sum(1 << int(machine) for machine in hosts))
+            np.bitwise_and(masks, hm, out=hit)
+            lost |= hit == hm
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
 
-    # popcount via 16-bit halves (numpy 1.x has no bit_count)
-    pop16 = np.array([bin(v).count("1") for v in range(1 << 16)], dtype=np.uint8)
-    fails = pop16[masks & 0xFFFF].astype(np.int64) + pop16[masks >> 16]
-    counts = np.bincount(fails[lost], minlength=m + 1)
+    # popcount via 16-bit halves (numpy 1.x has no bitwise_count)
+    pop16 = np.zeros(1 << 16, dtype=np.uint8)
+    for bit in range(16):
+        pop16[1 << bit : 2 << bit] = pop16[: 1 << bit] + 1
+    lost_masks = masks[lost]
+    fails = pop16[lost_masks & 0xFFFF] + pop16[lost_masks >> 16]
+    counts = np.bincount(fails, minlength=m + 1)
 
     fp = Fraction(p)
     total = sum(

@@ -60,7 +60,7 @@ class ModelParams:
             warnings.warn(
                 "alternating scale sum exceeds 1; the map is still iterated "
                 "but the capacity constraint cannot hold",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
 
     @classmethod

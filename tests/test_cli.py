@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,16 @@ class TestUsageErrors:
         ) == 1
         assert "--vmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "-5", "0"])
+    def test_unit_scale_must_be_finite_and_positive(self, scale, capsys):
+        assert run(
+            ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
+             "--stages", "1", "--unit-scale", scale]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--unit-scale" in captured.err
+
     def test_io_failure_exit_code(self, capsys):
         rc = run(
             ["verify-coefficients", "--out", "/nonexistent-dir/x/y.json"]
@@ -127,8 +138,10 @@ class TestOutputs:
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc["result"]["exponents"][1:] == [None, None]
 
-        # a seed whose residual overflows
-        with pytest.warns(RuntimeWarning):
+        # a seed whose residual overflows; the search reports it without
+        # leaking numpy's floating-point warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = run(["fixed-points", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
                       "--seeds", "1e200,1e200,1e200"])
         assert rc == 0

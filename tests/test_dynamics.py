@@ -182,6 +182,14 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             find_fixed_points(params(0.5, 0.5, 0.5), [])
 
+    def test_overflowing_seed_is_reported_without_warnings(self):
+        p = params(0.6, 1.25, 1.28)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (res,) = find_fixed_points(p, [(1e200, 1e200, 1e200)])
+        assert not res.converged
+        assert not math.isfinite(res.residual)
+
 
 class TestCharacteristicCubic:
     def test_direct_substitution(self):

@@ -1,10 +1,17 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudalloc.failsim import (
+    _SLAB_DRAWS,
     FailureScenario,
     McEstimate,
+    _chunk_loss_count,
+    _host_index_arrays,
     exhaustive_loss_probability,
     group_fatal,
     mc_estimate,
@@ -145,6 +152,77 @@ class TestMcEstimate:
             mc_estimate(5, 0.5, 100, mode="psychic")
         with pytest.raises(ValueError):
             mc_estimate(5, 0.5, 100, workers=0)
+
+
+def _whole_block_draws(seed, chunk, rows, n):
+    """A chunk's draws as one (rows, 7n) block, the way the kernel's row
+    slabs must reproduce them."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
+    return rng.random((rows, 7 * n))
+
+
+def _whole_block_losses(draws, n, p, mode, idx_a, idx_b):
+    """Reference classification: reshape/.all per group, or the 3-D gather
+    of every hosting set."""
+    failed = draws < p
+    rows = failed.shape[0]
+    if mode == "group":
+        owner_fatal = failed[:, : 4 * n].reshape(rows, n, 4).all(axis=2)
+        user_fatal = failed[:, 4 * n :].reshape(rows, n, 3).all(axis=2)
+        lost = (owner_fatal | user_fatal).any(axis=1)
+    else:
+        lost = failed[:, idx_a].all(axis=2).any(axis=1) | failed[:, idx_b].all(
+            axis=2
+        ).any(axis=1)
+    return int(lost.sum())
+
+
+class TestChunkKernel:
+    PS = (0.0, 1.0, 0.03, 0.1, 0.5, 5e-324, 1 - 2**-53)
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (n, rows)
+            for n in (1, 3, 4, 10, 37, 1000)
+            for rows in (1, 7, 4096)
+        ]
+        # 7n > _SLAB_DRAWS: every slab is a single row
+        + [(_SLAB_DRAWS // 7 + 1, 1), (_SLAB_DRAWS // 7 + 1, 7)],
+    )
+    def test_row_slabs_match_whole_block(self, n, rows):
+        idx_a, idx_b = _host_index_arrays(build_placement(n)) if n >= 3 else (None, None)
+        modes = ("group", "structural") if n >= 3 else ("group",)
+        draws = _whole_block_draws(5, 3, rows, n)
+        for p, mode in itertools.product(self.PS, modes):
+            want = _whole_block_losses(draws, n, p, mode, idx_a, idx_b)
+            got = _chunk_loss_count(5, 3, rows, n, p, mode, idx_a, idx_b)
+            assert got == want, (n, rows, p, mode)
+
+    def test_memory_is_bounded_by_the_slab(self):
+        # a whole 4096 x 7000 float64 block would be 219 MiB
+        tracemalloc.start()
+        try:
+            mc_estimate(1000, 0.05, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(1, 3 * 4096 + 5),
+        workers=st.integers(2, 3),
+        mode=st.sampled_from(("group", "structural")),
+    )
+    def test_worker_count_never_changes_the_estimate(
+        self, n, p, seed, trials, workers, mode
+    ):
+        one = mc_estimate(n, p, trials, seed=seed, mode=mode, workers=1)
+        assert mc_estimate(n, p, trials, seed=seed, mode=mode, workers=workers) == one
 
 
 class TestExhaustive:

@@ -42,6 +42,11 @@ class TestModelParams:
             p = ModelParams(alpha=0.5, xi=(0.1, 1.28))
         assert p.signed_scale_sum() == pytest.approx(1.18)
 
+    def test_scale_sum_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ModelParams(alpha=0.5, xi=(0.1, 1.28))
+        assert record[0].filename == __file__
+
     def test_scale_sum_ok_is_silent(self):
         import warnings
 
