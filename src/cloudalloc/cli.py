@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand resolves its full configuration (defaults included),
-embeds it in the output header, and writes either CSV (comment lines,
-then a header row) or JSON (an envelope with artifact, config, result).
-Output goes to stdout unless --out is given; a relative --out is placed
+embeds it in the output header, and returns text chunks of either CSV
+(comment lines, then a header row) or JSON (an envelope with artifact,
+config, result).  `run` writes them to stdout or --out, and a run that
+fails midway writes nothing (see `_emit`); a relative --out is placed
 under $CLOUDALLOC_OUTDIR when that is set.  Identical argv produces
 byte-identical output.
 
@@ -13,15 +14,15 @@ Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 
 from . import __version__, dynamics, failsim, ledger, replication, report
-from .model import DivergenceError, ModelParams, SystemState, iterate
+from .model import DivergenceError, ModelParams, SystemState, check_window, two_user_orbit
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_LYAP_ITERS = 100_000
@@ -49,14 +50,13 @@ def _comment_header(config: dict) -> str:
     return f"# cloudalloc {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
 
 
-def _csv_document(config: dict, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write(_comment_header(config))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+def _csv_document(config: dict, header: list[str], rows):
+    """Yield the CSV artifact line by line.  Cells are ints, floats (whose
+    str is their repr) and empty strings, none of which CSV quotes."""
+    yield _comment_header(config)
+    yield ",".join(header) + "\n"
     for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _finite_or_null(obj):
@@ -70,8 +70,8 @@ def _finite_or_null(obj):
     return obj
 
 
-def _json_document(config: dict, result) -> str:
-    return (
+def _json_document(config: dict, result) -> list[str]:
+    return [
         json.dumps(
             _finite_or_null(
                 {
@@ -86,18 +86,36 @@ def _json_document(config: dict, result) -> str:
             allow_nan=False,
         )
         + "\n"
-    )
+    ]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write an artifact only once every chunk of it exists.  A regular
+    --out file is streamed into a temporary file beside it, opened with
+    plain `open` so its mode follows the umask, and renamed over it;
+    stdout, devices and pipes get the joined text."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(chunks))
         return
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(out):
         out = os.path.join(outdir, out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    out = os.path.realpath(out)  # replace a symlink's target, not the link
+    if os.path.exists(out) and not os.path.isfile(out):
+        text = "".join(chunks)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _add_params(parser, with_state=True):
@@ -119,7 +137,8 @@ def _add_output(parser, formats=("csv", "json"), default=None):
 
 
 def _params(args) -> ModelParams:
-    return ModelParams.two_user(args.alpha, args.xi1, args.xi2)
+    # built here, not through a factory, so a warning names the CLI
+    return ModelParams(alpha=args.alpha, xi=(args.xi1, args.xi2))
 
 
 def _state(args) -> SystemState:
@@ -146,20 +165,18 @@ def _seed_list(text: str) -> list[tuple[float, float, float]]:
     return seeds
 
 
-def _cmd_iterate(args) -> int:
-    params = _params(args)
-    states = iterate(params, _state(args), steps=args.steps, transient=args.transient)
+def _cmd_iterate(args):
+    params, s0 = _params(args), _state(args)
+    check_window(args.steps, args.transient)
+    orbit = itertools.islice(two_user_orbit(params, s0, args.steps), args.transient, None)
     config = _config_dict(args)
     if args.format == "json":
-        rows = [{"l": s.l, "v_c": s.v_c, "x1": s.x[0], "x2": s.x[1]} for s in states]
-        _emit(_json_document(config, rows), args.out)
-    else:
-        rows = ((s.l, repr(s.v_c), repr(s.x[0]), repr(s.x[1])) for s in states)
-        _emit(_csv_document(config, ["l", "v_c", "x1", "x2"], rows), args.out)
-    return 0
+        rows = [{"l": l, "v_c": v, "x1": x1, "x2": x2} for l, v, x1, x2 in orbit]
+        return _json_document(config, rows)
+    return _csv_document(config, ["l", "v_c", "x1", "x2"], orbit)
 
 
-def _cmd_fixed_points(args) -> int:
+def _cmd_fixed_points(args):
     params = _params(args)
     claimed = report.claimed_second_fixed_point(args.alpha, args.xi1, args.xi2)
     seeds = _seed_list(args.seeds) if args.seeds else [(0.0, 0.0, 0.0), claimed]
@@ -182,36 +199,29 @@ def _cmd_fixed_points(args) -> int:
             "residual": float(max(abs(c) for c in claimed_residual)),
         },
     }
-    _emit(_json_document(_config_dict(args), result), args.out)
-    return 0
+    return _json_document(_config_dict(args), result)
 
 
-def _cmd_lyapunov(args) -> int:
+def _cmd_lyapunov(args):
     params = _params(args)
     spec = dynamics.lyapunov_spectrum(params, _state(args), iterations=args.iters)
     attractor = dynamics.classify_attractor(spec, zero_band=args.zero_band)
     config = _config_dict(args)
     if args.format == "csv":
-        rows = [
-            (100 * (i + 1) if i < len(spec.history) - 1 else spec.iterations,
-             repr(h[0]), repr(h[1]), repr(h[2]))
+        rows = (
+            (100 * (i + 1) if i < len(spec.history) - 1 else spec.iterations, *h)
             for i, h in enumerate(spec.history)
-        ]
-        _emit(
-            _csv_document(config, ["iteration", "lambda1", "lambda2", "lambda3"], rows),
-            args.out,
         )
-    else:
-        result = {
-            "exponents": list(spec.exponents),
-            "iterations": spec.iterations,
-            "classification": attractor.value,
-        }
-        _emit(_json_document(config, result), args.out)
-    return 0
+        return _csv_document(config, ["iteration", "lambda1", "lambda2", "lambda3"], rows)
+    result = {
+        "exponents": list(spec.exponents),
+        "iterations": spec.iterations,
+        "classification": attractor.value,
+    }
+    return _json_document(config, result)
 
 
-def _cmd_bifurcate(args) -> int:
+def _cmd_bifurcate(args):
     params = _params(args)
     scan = dynamics.bifurcation_scan(
         params,
@@ -227,39 +237,31 @@ def _cmd_bifurcate(args) -> int:
     rows = []
     for gp in scan.points:
         if gp.divergent:
-            rows.append((repr(gp.value), "", "", "", 1))
+            rows.append((gp.value, "", "", "", 1))
         else:
-            for k, v in enumerate(gp.v_samples):
-                rows.append((repr(gp.value), k, repr(v), repr(gp.lambda_max), 0))
-    _emit(
-        _csv_document(
-            _config_dict(args),
-            [args.param, "sample", "v_c", "lambda_max", "divergent"],
-            rows,
-        ),
-        args.out,
-    )
-    return 0
+            rows.extend((gp.value, k, v, gp.lambda_max, 0) for k, v in enumerate(gp.v_samples))
+    header = [args.param, "sample", "v_c", "lambda_max", "divergent"]
+    return _csv_document(_config_dict(args), header, rows)
 
 
-def _cmd_storage_report(args) -> int:
+def _cmd_storage_report(args):
     if not (math.isfinite(args.unit_scale) and args.unit_scale > 0):
         raise UsageError(f"--unit-scale must be finite and > 0, got {args.unit_scale}")
     params = _params(args)
     records = ledger.allocation_report(
         params, _state(args), _int_list(args.stages), unit_scale=args.unit_scale
     )
-    rows = [
+    rows = (
         (
             r.l,
-            repr(r.owner_alloc),
-            repr(r.user_alloc[0].magnitude),
+            r.owner_alloc,
+            r.user_alloc[0].magnitude,
             r.user_alloc[0].sign,
-            repr(r.user_alloc[1].magnitude),
+            r.user_alloc[1].magnitude,
             r.user_alloc[1].sign,
         )
         for r in records
-    ]
+    )
     header = [
         "l",
         "owner_alloc_bytes",
@@ -268,11 +270,10 @@ def _cmd_storage_report(args) -> int:
         "user2_alloc_bytes",
         "user2_sign",
     ]
-    _emit(_csv_document(_config_dict(args), header, rows), args.out)
-    return 0
+    return _csv_document(_config_dict(args), header, rows)
 
 
-def _cmd_placement(args) -> int:
+def _cmd_placement(args):
     plan = replication.build_placement(args.nodes)
     config = _config_dict(args)
     if args.format == "json":
@@ -289,13 +290,11 @@ def _cmd_placement(args) -> int:
                 for b in plan.owner_blocks + plan.user_blocks
             ],
         }
-        _emit(_json_document(config, result), args.out)
-    else:
-        _emit(_comment_header(config) + replication.render_plan(plan), args.out)
-    return 0
+        return _json_document(config, result)
+    return [_comment_header(config), replication.render_plan(plan)]
 
 
-def _cmd_loss_exact(args) -> int:
+def _cmd_loss_exact(args):
     result = {
         "n": args.nodes,
         "p": args.p,
@@ -303,27 +302,19 @@ def _cmd_loss_exact(args) -> int:
         "log_domain": replication.prob_data_loss(args.nodes, args.p, "log-domain").p_loss,
         "closed_form": replication.prob_data_loss(args.nodes, args.p, "closed-form").p_loss,
     }
-    _emit(_json_document(_config_dict(args), result), args.out)
-    return 0
+    return _json_document(_config_dict(args), result)
 
 
-def _cmd_loss_curve(args) -> int:
+def _cmd_loss_curve(args):
     rows = replication.loss_curve(_int_list(args.nodes_list), args.p)
-    csv_rows = [
-        (r.n, r.p, repr(r.p_loss_exact), repr(r.p_loss_closed_form)) for r in rows
-    ]
-    _emit(
-        _csv_document(
-            _config_dict(args),
-            ["n", "p", "p_loss_exact", "p_loss_closed_form"],
-            csv_rows,
-        ),
-        args.out,
+    return _csv_document(
+        _config_dict(args),
+        ["n", "p", "p_loss_exact", "p_loss_closed_form"],
+        ((r.n, r.p, r.p_loss_exact, r.p_loss_closed_form) for r in rows),
     )
-    return 0
 
 
-def _cmd_loss_mc(args) -> int:
+def _cmd_loss_mc(args):
     est = failsim.mc_estimate(
         args.nodes,
         args.p,
@@ -341,11 +332,10 @@ def _cmd_loss_mc(args) -> int:
         "p_hat": est.p_hat,
         "half_width_95": est.half_width_95,
     }
-    _emit(_json_document(_config_dict(args), result), args.out)
-    return 0
+    return _json_document(_config_dict(args), result)
 
 
-def _cmd_verify_coefficients(args) -> int:
+def _cmd_verify_coefficients(args):
     counts = failsim.verify_coefficients()
     expected = tuple(replication.base_polynomial()) + (0, 0)
     result = {
@@ -353,14 +343,12 @@ def _cmd_verify_coefficients(args) -> int:
         "expected": list(expected),
         "match": counts == expected,
     }
-    _emit(_json_document(_config_dict(args), result), args.out)
-    return 0
+    return _json_document(_config_dict(args), result)
 
 
-def _cmd_discrepancy_report(args) -> int:
+def _cmd_discrepancy_report(args):
     data = report.build_discrepancy_report(mc_trials=args.mc_trials, seed=args.seed)
-    _emit(report.render_discrepancy_markdown(data), args.out)
-    return 0
+    return [report.render_discrepancy_markdown(data)]
 
 
 def build_parser() -> _Parser:
@@ -450,7 +438,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args._fn(args)
+        _emit(args._fn(args), args.out)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -400,6 +400,10 @@ def bifurcation_scan(
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
     grid = [lo] if points == 1 else list(np.linspace(lo, hi, points))

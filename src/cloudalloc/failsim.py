@@ -199,6 +199,8 @@ def mc_estimate(
     the fixed trial chunks over threads.  The confidence half-width is
     the 95% normal approximation.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= p <= 1.0:

@@ -9,14 +9,15 @@ Byte quantities are decimal throughout (1 Gb = 1000 Mb = 10^9 bytes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .model import ModelParams, SystemState, step_general, step_two_user
+from .model import ModelParams, SystemState, two_user_orbit
 
 MEGABYTE = 1_000_000.0
 GIGABYTE = 1_000_000_000.0
 
 
-class OutOfRangeError(IndexError):
+class OutOfRangeError(ValueError):
     """A requested stage precedes the initial stage of the report."""
 
 
@@ -51,36 +52,32 @@ def allocation_report(
     stages,
     unit_scale: float,
 ) -> list[AllocationRecord]:
-    """Iterate once from s0 and sample allocations at the requested stages.
+    """Iterate the two-user map once from s0 and sample allocations at the
+    requested stages.
 
     `stages` must be sorted ascending and lie at or after s0's stage;
     `unit_scale` is bytes per model unit.  Divergence surfaces as
-    DivergenceError from the underlying step.
+    DivergenceError from the raw orbit.
     """
     stages = list(stages)
     if any(b <= a for a, b in zip(stages, stages[1:])):
         raise ValueError(f"stages must be strictly ascending, got {stages}")
-    if stages and stages[0] < s0.l:
+    if not stages:
+        return []
+    if stages[0] < s0.l:
         raise OutOfRangeError(f"stage {stages[0]} precedes the initial stage {s0.l}")
 
-    step = step_two_user if params.n_users == 2 else step_general
-    records = []
-    state = s0
-    for target in stages:
-        while state.l < target:
-            state = step(params, state)
-        records.append(
-            AllocationRecord(
-                l=state.l,
-                owner_alloc=params.alpha * state.v_c * unit_scale,
-                user_alloc=tuple(
-                    UserAllocation(magnitude=abs(raw), sign=_sign(raw))
-                    for raw in (
-                        xi_i * x_i * unit_scale
-                        for xi_i, x_i in zip(params.xi, state.x)
-                    )
-                ),
-            )
+    wanted = set(stages)
+    orbit = chain([(s0.l, s0.v_c, *s0.x)], two_user_orbit(params, s0, stages[-1] - s0.l))
+    return [
+        AllocationRecord(
+            l=l,
+            owner_alloc=params.alpha * v * unit_scale,
+            user_alloc=tuple(
+                UserAllocation(magnitude=abs(raw), sign=_sign(raw))
+                for raw in (params.xi1 * x1 * unit_scale, params.xi2 * x2 * unit_scale)
+            ),
         )
-    return records
-
+        for l, v, x1, x2 in orbit
+        if l in wanted
+    ]

@@ -189,11 +189,20 @@ def step_two_user(params: ModelParams, s: SystemState) -> SystemState:
     return nxt
 
 
+def check_window(steps: int, transient: int) -> None:
+    """The orbit window of `iterate` and `cli iterate`: `steps` stages, of
+    which the first `transient` are dropped; at least one is kept."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 0 <= transient < steps:
+        raise ValueError(f"transient must lie in [0, steps), got {transient}")
+
+
 def two_user_orbit(params: ModelParams, s0: SystemState, steps: int):
     """Yield (l, v_c, x1, x2) at stages s0.l + 1 through s0.l + steps of the
     two-user map, as bare floats; raise DivergenceError at the first stage
-    that leaves the bound.  The raw loop behind `iterate` and the
-    dynamics kernels: no SystemState is built per stage."""
+    that leaves the bound.  The raw loop behind `iterate`, the CLI, the
+    ledger and the dynamics kernels: no SystemState is built per stage."""
     a, k1, k2 = params.alpha, params.xi1, params.xi2
     v, (x1, x2) = s0.v_c, s0.x
     for l in range(s0.l + 1, s0.l + steps + 1):
@@ -214,10 +223,7 @@ def iterate(
     stages; other user counts chain `step_general`.  Both are bit-identical
     to chaining `step_two_user` / `step_general`.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not 0 <= transient < steps:
-        raise ValueError(f"transient must lie in [0, steps), got {transient}")
+    check_window(steps, transient)
     if len(s0.x) != params.n_users:
         raise ValueError(
             f"state has {len(s0.x)} demand components but params define {params.n_users} users"

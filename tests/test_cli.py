@@ -1,14 +1,25 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 import cloudalloc
+from cloudalloc import cli
 from cloudalloc.cli import run
+from cloudalloc.model import two_user_orbit
+
+# An orbit that leaves the divergence bound at stage 1245, after its first
+# rows have reached the output file.
+LATE_DIVERGENCE = ["iterate", "--alpha", "0.553", "--xi1", "1.191", "--xi2", "1.321",
+                   "--v0", "-0.365", "--steps", "2000"]
 
 
 def read(path):
@@ -51,7 +62,7 @@ class TestIterate:
         )
         assert rc == 2
 
-    def test_divergence_writes_no_artifact(self, tmp_path):
+    def test_divergence_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "orbit.csv"
         rc = run(
             ["iterate", "--alpha", "1.0", "--xi1", "2", "--xi2", "2",
@@ -60,6 +71,61 @@ class TestIterate:
         )
         assert rc == 2
         assert not target.exists()
+
+        # stdout gets nothing either
+        assert run(LATE_DIVERGENCE) == 2
+        assert capsys.readouterr().out == ""
+
+        # a pre-existing target survives a run that fails after its rows
+        # started streaming, and no temporary file is left behind
+        target.write_bytes(b"previous artifact\n")
+        assert run(LATE_DIVERGENCE + ["--out", str(target)]) == 2
+        assert read(target) == b"previous artifact\n"
+        assert os.listdir(tmp_path) == ["orbit.csv"]
+
+        def orbit_then_usage_error(params, s0, steps):
+            yield from two_user_orbit(params, s0, 1000)
+            raise ValueError("rejected midway")
+
+        monkeypatch.setattr(cli, "two_user_orbit", orbit_then_usage_error)
+        assert run(LATE_DIVERGENCE + ["--out", str(target)]) == 1
+        assert "usage error: rejected midway" in capsys.readouterr().err
+        assert read(target) == b"previous artifact\n"
+        assert os.listdir(tmp_path) == ["orbit.csv"]
+
+    def test_out_writes_through_links_and_pipes(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_bytes(b"previous artifact\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        assert run(["verify-coefficients", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(read(real))["result"]["match"] is True
+
+        # a pipe cannot be renamed over; it gets the artifact in place
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(read(fifo)), daemon=True)
+        reader.start()
+        assert run(["verify-coefficients", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert json.loads(got[0])["result"]["match"] is True
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "pipe", "real.json"]
+
+    def test_out_rows_stream_in_bounded_memory(self, tmp_path):
+        # holding every stage as a SystemState and the artifact as one
+        # string peaks at about 9 MiB here
+        argv = ["iterate", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
+                "--steps", "20000", "--out", str(tmp_path / "orbit.csv")]
+        tracemalloc.start()
+        try:
+            rc = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * 2**20
 
     def test_json_format(self, capsys):
         rc = run(
@@ -102,6 +168,35 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "--unit-scale" in captured.err
 
+    def test_stage_before_the_initial_stage(self, capsys):
+        assert run(
+            ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
+             "--stages", "-1"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: stage -1 precedes the initial stage 0" in captured.err
+
+    @pytest.mark.parametrize("nodes", ["0", "-2"])
+    def test_loss_mc_needs_a_node(self, nodes, capsys):
+        assert run(["loss-mc", "--nodes", nodes, "--p", "0.1", "--trials", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: n must be >= 1, got {nodes}" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "0"), ("--samples", "-5"), ("--transient", "-50")]
+    )
+    def test_bifurcate_rejects_an_empty_sample_window(self, flag, value, capsys):
+        assert run(
+            ["bifurcate", "--alpha", "0.5", "--xi1", "1.28", "--xi2", "1.23",
+             "--param", "alpha", "--lo", "0.3", "--hi", "0.6", "--points", "3",
+             "--lyap-iters", "1000", flag, value]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:]} must be >= " in captured.err
+
     def test_io_failure_exit_code(self, capsys):
         rc = run(
             ["verify-coefficients", "--out", "/nonexistent-dir/x/y.json"]
@@ -109,7 +204,38 @@ class TestUsageErrors:
         assert rc == 3
 
 
+# One argv per CSV command; the bifurcate sweep has divergent points.
+CSV_COMMANDS = {
+    "iterate": ["iterate", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
+                "--steps", "300", "--transient", "100"],
+    "lyapunov": ["lyapunov", "--alpha", "0.6", "--xi1", "0", "--xi2", "1.23",
+                 "--iters", "1000", "--format", "csv"],
+    "bifurcate": ["bifurcate", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
+                  "--param", "xi1", "--lo", "0.5", "--hi", "2.5", "--points", "5",
+                  "--transient", "100", "--samples", "3", "--lyap-iters", "1000"],
+    "storage-report": ["storage-report", "--alpha", "0.6", "--xi1", "1.25",
+                       "--xi2", "1.28", "--v0", "-1.6", "--stages", "0,1,10,20,365"],
+    "loss-curve": ["loss-curve", "--nodes-list", "1,10,20", "--p", "0.01"],
+}
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("name", sorted(CSV_COMMANDS))
+    def test_csv_bytes_match_the_csv_module(self, name, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert run(CSV_COMMANDS[name]) == 0
+        out = capsys.readouterr().out
+        *comments, body = out.split("\n", 2)
+        assert all(line.startswith("# ") for line in comments)
+        rows = list(csv.reader(io.StringIO(body)))
+        assert len(rows) > 2
+        oracle = io.StringIO()
+        csv.writer(oracle, lineterminator="\n").writerows(rows)
+        assert body == oracle.getvalue()
+        if name == "bifurcate":
+            assert {row[4] for row in rows[1:]} == {"0", "1"}
+
     def test_byte_identical_reruns(self, tmp_path):
         # identical argv (same seed, same --out) must give identical bytes
         target = tmp_path / "estimate.json"
@@ -119,6 +245,7 @@ class TestOutputs:
         first = read(target)
         assert run(argv) == 0
         assert read(target) == first
+        assert os.listdir(tmp_path) == ["estimate.json"]
 
     def test_outdir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CLOUDALLOC_OUTDIR", str(tmp_path))
@@ -147,6 +274,14 @@ class TestOutputs:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc["result"]["search"][0]["residual"] is None
+
+    def test_scale_sum_warning_names_the_cli(self, capsys):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run(["lyapunov", "--alpha", "0.6", "--xi1", "0", "--xi2", "1.23",
+                        "--iters", "1000"]) == 0
+        assert record[0].category is UserWarning
+        assert record[0].filename.endswith("cli.py")
 
     def test_stdout_when_no_out(self, capsys):
         assert run(["verify-coefficients"]) == 0

@@ -455,3 +455,10 @@ class TestBifurcationScan:
             bifurcation_scan(params(0.5, 1.0, 1.0), "alpha", 0.9, 0.1, 3, S0)
         with pytest.raises(ValueError):
             bifurcation_scan(params(0.5, 1.0, 1.0), "alpha", 0.1, 0.9, 0, S0)
+
+    @pytest.mark.parametrize("window", [{"samples": 0}, {"samples": -5}, {"transient": -50}])
+    def test_empty_sample_window_rejected(self, window):
+        with pytest.raises(ValueError):
+            bifurcation_scan(
+                params(0.5, 1.0, 1.0), "alpha", 0.1, 0.9, 3, S0, lyap_iterations=1000, **window
+            )

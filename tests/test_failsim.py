@@ -147,6 +147,10 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(5, 0.5, 0)
         with pytest.raises(ValueError):
+            mc_estimate(0, 0.5, 100)
+        with pytest.raises(ValueError):
+            mc_estimate(-2, 0.5, 100)
+        with pytest.raises(ValueError):
             mc_estimate(5, 1.5, 100)
         with pytest.raises(ValueError):
             mc_estimate(5, 0.5, 100, mode="psychic")
