@@ -47,7 +47,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _comment_header(config: dict) -> str:
-    return f"# cloudalloc {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
+    return f"# cloudalloc {__version__}\n# config: {_strict_json(config)}\n"
 
 
 def _csv_document(config: dict, header: list[str], rows):
@@ -70,23 +70,15 @@ def _finite_or_null(obj):
     return obj
 
 
+def _strict_json(obj, indent: int | None = None) -> str:
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
 def _json_document(config: dict, result) -> list[str]:
-    return [
-        json.dumps(
-            _finite_or_null(
-                {
-                    "artifact": "cloudalloc",
-                    "version": __version__,
-                    "config": config,
-                    "result": result,
-                }
-            ),
-            sort_keys=True,
-            indent=2,
-            allow_nan=False,
-        )
-        + "\n"
-    ]
+    envelope = {
+        "artifact": "cloudalloc", "version": __version__, "config": config, "result": result
+    }
+    return [_strict_json(envelope, indent=2) + "\n"]
 
 
 def _emit(chunks, out: str | None) -> None:

@@ -404,6 +404,8 @@ def bifurcation_scan(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if transient < 0:
         raise ValueError(f"transient must be >= 0, got {transient}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
     grid = [lo] if points == 1 else list(np.linspace(lo, hi, points))

@@ -8,11 +8,11 @@ monotone family whose per-size survivor counts reproduce the published
 coefficient list -- and `verify_coefficients` re-derives the counts by
 exhaustive enumeration to pin it down.
 
-`scenario_loss` classifies explicit failure scenarios either under the
-independent-group model or under the structural placement mapping of a
-PlacementPlan (which shares machines across blocks, so the two need not
-agree; any gap is measured, never assumed away).
-"""
+Each scenario mode is a hosting-set family of n quadruples and n triples
+(`_hosting_sets`): the groups, or the hosts of each node's half A and B in
+a PlacementPlan, which shares machines across blocks, so single scenarios
+may disagree (measured, never assumed away).  Monte Carlo and exhaustive
+enumeration test one predicate: some set failed completely."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from .replication import (
     MACHINES_PER_NODE,
-    OWNER_MACHINES_PER_BLOCK,
     PlacementPlan,
     build_placement,
     owner_machine_ids,
@@ -141,44 +140,67 @@ def scenario_loss(
     raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
 
 
-def _host_index_arrays(plan: PlacementPlan) -> tuple[np.ndarray, np.ndarray]:
-    hosts = plan.half_hosts()
-    idx_a = np.array([hosts[(node, "A")] for node in range(1, plan.n + 1)])
-    idx_b = np.array([hosts[(node, "B")] for node in range(1, plan.n + 1)])
-    return idx_a, idx_b
+def _hosting_sets(n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The n quadruples and n triples of machine ids that lose data when
+    every member fails; the one place a mode is read.
+
+    group:      owner block i and user block i (any n >= 1).
+    structural: the hosts of each node's half A (4 machines) and half B
+                (3 machines) in build_placement(n).
+    """
+    nodes = range(1, n + 1)
+    if mode == "group":
+        quads = [owner_machine_ids(i) for i in nodes]
+        triples = [user_machine_ids(n, i) for i in nodes]
+    elif mode == "structural":
+        hosts = build_placement(n).half_hosts()
+        quads = [hosts[(i, "A")] for i in nodes]
+        triples = [hosts[(i, "B")] for i in nodes]
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
+    return np.array(quads), np.array(triples)
 
 
-def _all_columns(failed: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per row and per hosting set, whether every listed column failed."""
-    out = failed[:, idx[:, 0]]
-    for k in range(1, idx.shape[1]):
-        out &= failed[:, idx[:, k]]
+def _member_columns(sets: np.ndarray) -> list[slice | np.ndarray]:
+    """One column reader per member position of a family of sets: a slice,
+    which numpy reads as a view, where the ids step evenly, else the ids
+    themselves for a gather."""
+    columns = []
+    for ids in sets.T:
+        step = int(ids[1] - ids[0]) if len(ids) > 1 else 1
+        stop = int(ids[0]) + step * len(ids)
+        if step > 0 and np.array_equal(ids, np.arange(ids[0], stop, step)):
+            columns.append(slice(int(ids[0]), stop, step))
+        else:
+            columns.append(ids)
+    return columns
+
+
+def _all_failed(failed: np.ndarray, columns: list[slice | np.ndarray]) -> np.ndarray:
+    """Per row and per set, whether every member column failed."""
+    out = failed[:, columns[0]] & failed[:, columns[1]]
+    for col in columns[2:]:
+        out &= failed[:, col]
     return out
 
 
 def _chunk_loss_count(
-    seed: int, chunk: int, rows: int, n: int, p: float, mode: str,
-    idx_a: np.ndarray | None, idx_b: np.ndarray | None,
+    seed: int, chunk: int, rows: int, machines: int, p: float,
+    families: list[list[slice | np.ndarray]],
 ) -> int:
+    """Trials of one chunk in which some set of some family failed whole."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-    m = MACHINES_PER_NODE * n
-    owners = OWNER_MACHINES_PER_BLOCK * n
-    slab = max(1, _SLAB_DRAWS // m)
-    u = np.empty((min(slab, rows), m))
+    slab = max(1, _SLAB_DRAWS // machines)
+    u = np.empty((min(slab, rows), machines))
     failed = np.empty(u.shape, dtype=bool)
     losses = 0
     for start in range(0, rows, slab):
         r = min(slab, rows - start)
         rng.random(out=u[:r])
         f = np.less(u[:r], p, out=failed[:r])
-        if mode == "group":
-            # owner block i is columns 4(i-1)..4i-1, user block i the three
-            # columns from 4n + 3(i-1): strided views pick one member each
-            lost = f[:, 0:owners:4] & f[:, 1:owners:4] & f[:, 2:owners:4] & f[:, 3:owners:4]
-            lost |= f[:, owners::3] & f[:, owners + 1 :: 3] & f[:, owners + 2 :: 3]
-        else:
-            lost = _all_columns(f, idx_a)
-            lost |= _all_columns(f, idx_b)
+        lost = _all_failed(f, families[0])
+        for columns in families[1:]:
+            lost |= _all_failed(f, columns)
         losses += int(np.count_nonzero(lost.any(axis=1)))
     return losses
 
@@ -205,14 +227,10 @@ def mc_estimate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if mode not in SCENARIO_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-
-    idx_a = idx_b = None
-    if mode == "structural":
-        idx_a, idx_b = _host_index_arrays(build_placement(n))
+    families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
+    machines = MACHINES_PER_NODE * n
 
     n_chunks = (trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
     sizes = [
@@ -220,7 +238,7 @@ def mc_estimate(
     ]
 
     def run_chunk(c: int) -> int:
-        return _chunk_loss_count(seed, c, sizes[c], n, p, mode, idx_a, idx_b)
+        return _chunk_loss_count(seed, c, sizes[c], machines, p, families)
 
     if workers == 1:
         losses = sum(run_chunk(c) for c in range(n_chunks))
@@ -239,10 +257,10 @@ def mc_estimate(
 def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
     """Exact loss probability by enumerating all 2^(7n) failure scenarios.
 
-    Each scenario is classified with the same fatal-set predicate as
-    scenario_loss and weighted p^f (1-p)^(7n-f); the per-size loss counts
-    are accumulated once and the final sum is exact (rational).  Cost is
-    exponential -- n <= 3 (2^21 scenarios) is the intended desk scale.
+    A scenario is lost iff some hosting set failed completely and weighs
+    p^f (1-p)^(7n-f); the per-size loss counts are accumulated once and
+    the final sum is exact (rational).  Cost is exponential -- n <= 3
+    (2^21 scenarios) is the intended desk scale.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -250,37 +268,15 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
         raise ValueError(f"exhaustive enumeration is limited to n <= 3, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    quads, triples = _hosting_sets(n, mode)
     m = MACHINES_PER_NODE * n
     masks = np.arange(1 << m, dtype=np.uint32)
     lost = np.zeros(masks.shape, dtype=bool)
-
-    if mode == "group":
-        # per-group 7-bit fatality table built from the real predicate
-        table = np.array(
-            [
-                group_fatal({i for i in range(MACHINES_PER_NODE) if mask >> i & 1})
-                for mask in range(1 << MACHINES_PER_NODE)
-            ]
-        )
-        local = np.empty_like(masks)
-        user = np.empty_like(masks)
-        for block in range(1, n + 1):
-            np.right_shift(masks, owner_machine_ids(block)[0], out=local)
-            local &= 0xF
-            np.right_shift(masks, user_machine_ids(n, block)[0], out=user)
-            user &= 0x7
-            user <<= 4
-            local |= user
-            lost |= table[local]
-    elif mode == "structural":
-        idx_a, idx_b = _host_index_arrays(build_placement(n))
-        hit = np.empty_like(masks)
-        for hosts in (*idx_a, *idx_b):
-            hm = np.uint32(sum(1 << int(machine) for machine in hosts))
-            np.bitwise_and(masks, hm, out=hit)
-            lost |= hit == hm
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
+    hit = np.empty_like(masks)
+    for hosts in (*quads, *triples):
+        hm = np.uint32(sum(1 << int(machine) for machine in hosts))
+        np.bitwise_and(masks, hm, out=hit)
+        lost |= hit == hm
 
     # popcount via 16-bit halves (numpy 1.x has no bitwise_count)
     pop16 = np.zeros(1 << 16, dtype=np.uint8)

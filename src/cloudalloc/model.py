@@ -37,7 +37,7 @@ class ModelParams:
     """Scaling parameters of the allocation map.
 
     alpha: capacity rescale factor, 0 < alpha <= 1.
-    xi:    per-user demand scale factors, all >= 0.
+    xi:    per-user demand scale factors, all finite and >= 0.
 
     The alternating-sign scale sum  sum_i (-1)^i xi_i  should not exceed 1;
     a violation is reported as a warning rather than rejected, since the
@@ -54,8 +54,8 @@ class ModelParams:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if len(self.xi) < 1:
             raise ValueError("at least one user scale xi_i is required")
-        if any(v < 0.0 for v in self.xi):
-            raise ValueError(f"all xi_i must be >= 0, got {self.xi}")
+        if not all(0.0 <= v < math.inf for v in self.xi):
+            raise ValueError(f"all xi_i must be finite and >= 0, got {self.xi}")
         if self.signed_scale_sum() > 1.0:
             warnings.warn(
                 "alternating scale sum exceeds 1; the map is still iterated "

@@ -290,17 +290,17 @@ def _log_domain_loss(n: int, p: float, want_terms: bool) -> LossResult:
 
     logs = []
     fs = []
+    comb = math.comb(m, 3)  # C(m, f), stepped up with f
     for f in range(3, m + 1):
         c_f = coeffs[f] if f <= 5 * n else 0
-        total_f = math.comb(m, f)
-        weight = total_f - c_f
-        if weight == 0:
-            continue
-        log_binom = lg_m1 - math.lgamma(f + 1) - math.lgamma(m - f + 1)
-        # exact integer ratio (C - c)/C floated before taking the log
-        log_weight = math.log(float(Fraction(weight, total_f)))
-        logs.append(log_binom + log_weight + f * log_p + (m - f) * log_q)
-        fs.append(f)
+        weight = comb - c_f
+        if weight:
+            log_binom = lg_m1 - math.lgamma(f + 1) - math.lgamma(m - f + 1)
+            # int true division rounds the exact ratio (C - c)/C once
+            log_weight = math.log(weight / comb)
+            logs.append(log_binom + log_weight + f * log_p + (m - f) * log_q)
+            fs.append(f)
+        comb = comb * (m - f) // (f + 1)
     terms = [(f, math.exp(lg)) for f, lg in zip(fs, logs)]
     return LossResult(
         p_loss=math.fsum(t for _, t in terms),

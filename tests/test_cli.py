@@ -168,6 +168,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "--unit-scale" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bifurcate", "--alpha", "0.5", "--xi1", "1.28", "--xi2", "1.23", "--param",
+             "xi1", "--lo", "0.1", "--hi", "inf", "--points", "2", "--lyap-iters", "100"],
+            ["storage-report", "--alpha", "0.5", "--xi1", "nan", "--xi2", "0.1",
+             "--stages", "0,3"],
+            ["storage-report", "--alpha", "0.5", "--xi1", "inf", "--xi2", "0.1",
+             "--stages", "0"],
+        ],
+    )
+    def test_non_finite_model_inputs_are_usage_errors(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_stage_before_the_initial_stage(self, capsys):
         assert run(
             ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
@@ -274,6 +293,19 @@ class TestOutputs:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc["result"]["search"][0]["residual"] is None
+
+        # a non-finite option value in a CSV header's config line
+        for argv in (
+            ["storage-report", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1",
+             "--v0", "inf", "--stages", "0"],
+            ["lyapunov", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
+             "--iters", "1000", "--format", "csv", "--zero-band", "inf"],
+        ):
+            assert run(argv) == 0
+            config_line = capsys.readouterr().out.splitlines()[1]
+            assert config_line.startswith("# config: ")
+            config = json.loads(config_line[len("# config: "):], parse_constant=reject)
+            assert None in config.values()
 
     def test_scale_sum_warning_names_the_cli(self, capsys):
         with warnings.catch_warnings(record=True) as record:

@@ -455,6 +455,9 @@ class TestBifurcationScan:
             bifurcation_scan(params(0.5, 1.0, 1.0), "alpha", 0.9, 0.1, 3, S0)
         with pytest.raises(ValueError):
             bifurcation_scan(params(0.5, 1.0, 1.0), "alpha", 0.1, 0.9, 0, S0)
+        for lo, hi in ((0.1, math.inf), (-math.inf, 0.9), (math.nan, 0.9), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                bifurcation_scan(params(0.5, 1.28, 1.23), "xi1", lo, hi, 2, S0)
 
     @pytest.mark.parametrize("window", [{"samples": 0}, {"samples": -5}, {"transient": -50}])
     def test_empty_sample_window_rejected(self, window):

@@ -11,7 +11,8 @@ from cloudalloc.failsim import (
     FailureScenario,
     McEstimate,
     _chunk_loss_count,
-    _host_index_arrays,
+    _hosting_sets,
+    _member_columns,
     exhaustive_loss_probability,
     group_fatal,
     mc_estimate,
@@ -109,6 +110,45 @@ class TestScenarioLoss:
             scenario_loss(FailureScenario(n=3, failed=frozenset()), "psychic")
 
 
+class TestHostingSets:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 60))
+    def test_placement_invariants(self, n):
+        m = 7 * n
+        plan = build_placement(n)
+        assert [machine.id for machine in plan.machines] == list(range(m))
+        hosts = plan.half_hosts()
+        assert set(hosts) == {(node, half) for node in range(1, n + 1) for half in "AB"}
+        # each machine hosts one half, so the host lists partition the machines
+        assert sorted(i for ids in hosts.values() for i in ids) == list(range(m))
+        for node in range(1, n + 1):
+            assert len(hosts[(node, "A")]) == 4
+            assert len(hosts[(node, "B")]) == 3
+
+        def wrap(i):
+            return (i - 1) % n + 1
+
+        for i, (owner, user) in enumerate(zip(plan.owner_blocks, plan.user_blocks), 1):
+            assert [str(e) for e in owner.entries] == [
+                f"P{i}", f"S1_{wrap(i + 1)}", f"S2_{wrap(i + 2)}"
+            ]
+            assert [plan.machines[j].half for j in owner.machine_ids] == [
+                (i, "A"), (i, "B"), (wrap(i + 1), "A"), (wrap(i + 2), "B")
+            ]
+            assert [str(e) for e in user.entries] == [
+                f"S1_{i}", f"S2_{wrap(i + 1)}", f"S1_{wrap(i + 2)}"
+            ]
+            assert [plan.machines[j].half for j in user.machine_ids] == [
+                (i, "A"), (wrap(i + 1), "B"), (wrap(i + 2), "A")
+            ]
+
+        for mode in ("group", "structural"):
+            quads, triples = _hosting_sets(n, mode)
+            assert quads.shape == (n, 4) and triples.shape == (n, 3)
+            members = np.concatenate([quads.ravel(), triples.ravel()])
+            assert sorted(members.tolist()) == list(range(m))
+
+
 class TestMcEstimate:
     def test_p_zero_exact(self):
         est = mc_estimate(5, 0.0, 10_000, seed=1)
@@ -165,19 +205,20 @@ def _whole_block_draws(seed, chunk, rows, n):
     return rng.random((rows, 7 * n))
 
 
-def _whole_block_losses(draws, n, p, mode, idx_a, idx_b):
+def _whole_block_losses(draws, n, p, hosts):
     """Reference classification: reshape/.all per group, or the 3-D gather
-    of every hosting set."""
+    of every hosting set of the placement's `hosts` (structural mode)."""
     failed = draws < p
     rows = failed.shape[0]
-    if mode == "group":
+    if hosts is None:
         owner_fatal = failed[:, : 4 * n].reshape(rows, n, 4).all(axis=2)
         user_fatal = failed[:, 4 * n :].reshape(rows, n, 3).all(axis=2)
         lost = (owner_fatal | user_fatal).any(axis=1)
     else:
-        lost = failed[:, idx_a].all(axis=2).any(axis=1) | failed[:, idx_b].all(
-            axis=2
-        ).any(axis=1)
+        lost = np.zeros(rows, dtype=bool)
+        for half in ("A", "B"):
+            idx = np.array([hosts[(node, half)] for node in range(1, n + 1)])
+            lost |= failed[:, idx].all(axis=2).any(axis=1)
     return int(lost.sum())
 
 
@@ -195,13 +236,28 @@ class TestChunkKernel:
         + [(_SLAB_DRAWS // 7 + 1, 1), (_SLAB_DRAWS // 7 + 1, 7)],
     )
     def test_row_slabs_match_whole_block(self, n, rows):
-        idx_a, idx_b = _host_index_arrays(build_placement(n)) if n >= 3 else (None, None)
-        modes = ("group", "structural") if n >= 3 else ("group",)
         draws = _whole_block_draws(5, 3, rows, n)
-        for p, mode in itertools.product(self.PS, modes):
-            want = _whole_block_losses(draws, n, p, mode, idx_a, idx_b)
-            got = _chunk_loss_count(5, 3, rows, n, p, mode, idx_a, idx_b)
-            assert got == want, (n, rows, p, mode)
+        group = [_member_columns(s) for s in _hosting_sets(n, "group")]
+        gathers = [list(s.T) for s in _hosting_sets(n, "group")]  # no views
+        for p in self.PS:
+            want = _whole_block_losses(draws, n, p, None)
+            assert _chunk_loss_count(5, 3, rows, 7 * n, p, group) == want, (n, rows, p)
+            assert _chunk_loss_count(5, 3, rows, 7 * n, p, gathers) == want, (n, rows, p)
+        if n < 3:
+            return
+        hosts = build_placement(n).half_hosts()
+        structural = [_member_columns(s) for s in _hosting_sets(n, "structural")]
+        for p in self.PS:
+            want = _whole_block_losses(draws, n, p, hosts)
+            got = _chunk_loss_count(5, 3, rows, 7 * n, p, structural)
+            assert got == want, (n, rows, p)
+
+    def test_evenly_stepped_ids_are_read_as_views(self):
+        quads, triples = _hosting_sets(10, "group")
+        assert _member_columns(quads) == [slice(k, 40 + k, 4) for k in range(4)]
+        assert _member_columns(triples) == [slice(40 + k, 70 + k, 3) for k in range(3)]
+        for col in _member_columns(_hosting_sets(10, "structural")[0]):
+            assert isinstance(col, np.ndarray)
 
     def test_memory_is_bounded_by_the_slab(self):
         # a whole 4096 x 7000 float64 block would be 219 MiB
@@ -266,3 +322,5 @@ class TestExhaustive:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             exhaustive_loss_probability(4, 0.1)
+        with pytest.raises(ValueError):
+            exhaustive_loss_probability(3, 0.1, "psychic")

@@ -34,6 +34,9 @@ class TestModelParams:
     def test_xi_nonnegative(self):
         with pytest.raises(ValueError):
             ModelParams(alpha=0.5, xi=(0.2, -0.1))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(alpha=0.5, xi=(0.2, bad))
         with pytest.raises(ValueError):
             ModelParams(alpha=0.5, xi=())
 

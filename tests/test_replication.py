@@ -59,6 +59,26 @@ def per_f_exact_loss(n, p):
     return float(Fraction(total) / Fraction(d) ** m)
 
 
+
+def fraction_log_domain_terms(n, p):
+    """The log-domain per-f terms with each weight ratio floated through
+    Fraction and every binomial from math.comb, as the route once did."""
+    m = 7 * n
+    coeffs = convolution_power(n)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lg_m1 = math.lgamma(m + 1)
+    terms = []
+    for f in range(3, m + 1):
+        c_f = coeffs[f] if f <= 5 * n else 0
+        total_f = math.comb(m, f)
+        weight = total_f - c_f
+        if weight == 0:
+            continue
+        log_binom = lg_m1 - math.lgamma(f + 1) - math.lgamma(m - f + 1)
+        log_weight = math.log(float(Fraction(weight, total_f)))
+        terms.append((f, math.exp(log_binom + log_weight + f * log_p + (m - f) * log_q)))
+    return tuple(terms)
+
 class TestPlacement:
     def test_three_node_blocks(self):
         plan = build_placement(3)
@@ -243,6 +263,14 @@ class TestProbDataLoss:
                 assert got == per_f_exact_loss(n, p), (n, p)
                 # both routes round the same rational once
                 assert got == prob_data_loss(n, p, "closed-form").p_loss, (n, p)
+
+    def test_log_domain_terms_match_fraction_formula(self):
+        for n in (1, 2, 3, 10, 57, 70, 100):
+            for p in (5e-324, 1e-300, 0.0013, 0.01, 1 / 3, 0.9):
+                res = prob_data_loss(n, p, "log-domain", want_terms=True)
+                want = fraction_log_domain_terms(n, p)
+                assert res.per_f_terms == want, (n, p)
+                assert res.p_loss == math.fsum(t for _, t in want), (n, p)
 
     @settings(max_examples=40, deadline=None)
     @given(
