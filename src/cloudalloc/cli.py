@@ -3,10 +3,11 @@
 Every subcommand resolves its full configuration (defaults included),
 embeds it in the output header, and returns text chunks of either CSV
 (comment lines, then a header row) or JSON (an envelope with artifact,
-config, result).  `run` writes them to stdout or --out, and a run that
-fails midway writes nothing (see `_emit`); a relative --out is placed
-under $CLOUDALLOC_OUTDIR when that is set.  Identical argv produces
-byte-identical output.
+config, result); CSV rows, and the rows of `iterate`'s JSON, come in
+blocks of _ROWS_PER_BLOCK.  `run` writes them to stdout or --out, and a
+run that fails midway writes nothing (see `_emit`); a relative --out is
+placed under $CLOUDALLOC_OUTDIR when that is set.  Identical argv
+produces byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 I/O failure.
 """
@@ -29,6 +30,9 @@ DEFAULT_LYAP_ITERS = 100_000
 DEFAULT_MC_TRIALS = 1_000_000
 DEFAULT_SEED = 42
 OUTDIR_ENV = "CLOUDALLOC_OUTDIR"
+# rows per written chunk: enough that per-chunk costs vanish, few enough
+# that a block stays a fraction of a MiB
+_ROWS_PER_BLOCK = 1024
 
 
 class UsageError(Exception):
@@ -50,13 +54,20 @@ def _comment_header(config: dict) -> str:
     return f"# cloudalloc {__version__}\n# config: {_strict_json(config)}\n"
 
 
+def _row_blocks(template: str, rows):
+    """Yield `template % row` for every tuple row, joined into one chunk per
+    _ROWS_PER_BLOCK rows."""
+    lines = map(template.__mod__, rows)
+    while block := "".join(itertools.islice(lines, _ROWS_PER_BLOCK)):
+        yield block
+
+
 def _csv_document(config: dict, header: list[str], rows):
-    """Yield the CSV artifact line by line.  Cells are ints, floats (whose
-    str is their repr) and empty strings, none of which CSV quotes."""
-    yield _comment_header(config)
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(map(str, row)) + "\n"
+    """Yield the CSV artifact in row blocks.  Cells are ints, floats and
+    empty strings, written by `%s` as their str (a float's str is its repr);
+    CSV quotes none of them."""
+    yield _comment_header(config) + ",".join(header) + "\n"
+    yield from _row_blocks(",".join(["%s"] * len(header)) + "\n", rows)
 
 
 def _finite_or_null(obj):
@@ -79,6 +90,20 @@ def _json_document(config: dict, result) -> list[str]:
         "artifact": "cloudalloc", "version": __version__, "config": config, "result": result
     }
     return [_strict_json(envelope, indent=2) + "\n"]
+
+
+def _json_rows_document(config: dict, keys: list[str], rows):
+    """Yield the JSON envelope of `_json_document(config, [dict(zip(keys, row))
+    for row in rows])` with its rows in blocks.  Rows must be nonempty, keys
+    sorted and every cell a finite number, which `%s` writes as `json.dumps`
+    does."""
+    head, _, tail = _json_document(config, None)[0].rpartition('"result": null')
+    fields = ",\n".join(f'      "{k}": %s' for k in keys)
+    # every row leads with its separator; the first row's comma is dropped
+    blocks = _row_blocks(",\n    {\n" + fields + "\n    }", rows)
+    yield head + '"result": [' + next(blocks)[1:]
+    yield from blocks
+    yield "\n  ]" + tail
 
 
 def _emit(chunks, out: str | None) -> None:
@@ -134,6 +159,10 @@ def _params(args) -> ModelParams:
 
 
 def _state(args) -> SystemState:
+    for flag in ("v0", "x1", "x2"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
     return SystemState(l=0, v_c=args.v0, x=(args.x1, args.x2))
 
 
@@ -162,10 +191,10 @@ def _cmd_iterate(args):
     check_window(args.steps, args.transient)
     orbit = itertools.islice(two_user_orbit(params, s0, args.steps), args.transient, None)
     config = _config_dict(args)
+    keys = ["l", "v_c", "x1", "x2"]
     if args.format == "json":
-        rows = [{"l": l, "v_c": v, "x1": x1, "x2": x2} for l, v, x1, x2 in orbit]
-        return _json_document(config, rows)
-    return _csv_document(config, ["l", "v_c", "x1", "x2"], orbit)
+        return _json_rows_document(config, keys, orbit)
+    return _csv_document(config, keys, orbit)
 
 
 def _cmd_fixed_points(args):

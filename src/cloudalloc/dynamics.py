@@ -9,20 +9,14 @@ frame by unrolled modified Gram-Schmidt and makes no per-step numpy call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .model import (
-    DivergenceError,
-    ModelParams,
-    SystemState,
-    check_divergence,
-    step_two_user_raw,
-    two_user_orbit,
-)
+from .model import DivergenceError, ModelParams, SystemState, step_two_user_raw, two_user_orbit
 
 
 class SingularParametersError(ValueError):
@@ -240,20 +234,24 @@ def _tangent_orbit(
     the running means sums/k every 100 stages before the last, in column
     order; empty unless `history`).
 
-    DivergenceError carries the absolute stage, counted from s0.l across
-    all three phases.  A column the Jacobian annihilates (r_jj == 0, as at
-    the first stage when xi1 or xi2 is 0) adds -inf to its sum and is
-    replaced by the completion a Householder QR would give.
+    All three phases read one `two_user_orbit` generator, so the state
+    step and its bound test are written once, and DivergenceError carries
+    the absolute stage, counted from s0.l.  A column the Jacobian
+    annihilates (r_jj == 0, as at the first stage when xi1 or xi2 is 0)
+    adds -inf to its sum and is replaced by the completion a Householder QR
+    would give.
     """
     if iterations < 1000:
         raise ValueError(f"iterations must be >= 1000, got {iterations}")
     a, k1, k2 = params.alpha, params.xi1, params.xi2
-    l, v, (x1, x2) = s0.l, s0.v_c, s0.x
-    first_sample = s0.l + transient + 1
+    orbit = two_user_orbit(params, s0, transient + samples + iterations)
+    v, (x1, x2) = s0.v_c, s0.x
+    for _, v, x1, x2 in itertools.islice(orbit, transient):
+        pass
     v_samples = []
-    for l, v, x1, x2 in two_user_orbit(params, s0, transient + samples):
-        if l >= first_sample:
-            v_samples.append(v)
+    for _, v, x1, x2 in itertools.islice(orbit, samples):
+        v_samples.append(v)
+    step = orbit.__next__
 
     sqrt, log = math.sqrt, math.log
     # the frame as nine floats: q_ij is component i of column j
@@ -303,8 +301,7 @@ def _tangent_orbit(
         s3 += log(r)
         q13, q23, q33 = m1 / r, m2 / r, m3 / r
 
-        v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
-        check_divergence(l + k, (v, x1, x2))
+        _, v, x1, x2 = step()
         if history and k % 100 == 0 and k < iterations:
             means.append((s1 / k, s2 / k, s3 / k))
     return v_samples, (s1, s2, s3), means

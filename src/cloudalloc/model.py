@@ -202,12 +202,22 @@ def two_user_orbit(params: ModelParams, s0: SystemState, steps: int):
     """Yield (l, v_c, x1, x2) at stages s0.l + 1 through s0.l + steps of the
     two-user map, as bare floats; raise DivergenceError at the first stage
     that leaves the bound.  The raw loop behind `iterate`, the CLI, the
-    ledger and the dynamics kernels: no SystemState is built per stage."""
+    ledger and the dynamics kernel: no SystemState is built per stage.
+
+    The step is `step_two_user_raw` written inline, with its term grouping,
+    and the bound test is `check_divergence`'s comparison written inline;
+    `check_divergence` runs only once that test fails, to name the stage and
+    the first offending component.
+    """
     a, k1, k2 = params.alpha, params.xi1, params.xi2
     v, (x1, x2) = s0.v_c, s0.x
+    bound = DIVERGENCE_BOUND
     for l in range(s0.l + 1, s0.l + steps + 1):
-        v, x1, x2 = step_two_user_raw(a, k1, k2, v, x1, x2)
-        check_divergence(l, (v, x1, x2))
+        u1 = k1 * x1
+        u2 = k2 * x2
+        v, x1, x2 = a * v - (u2 - u1), -(u1 * v) - u2, u2 * v + u1
+        if not (abs(v) <= bound and abs(x1) <= bound and abs(x2) <= bound):
+            check_divergence(l, (v, x1, x2))
         yield l, v, x1, x2
 
 

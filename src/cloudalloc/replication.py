@@ -42,6 +42,12 @@ USER_MACHINES_PER_BLOCK = 3
 
 LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 
+# The exact-bigint sum costs one m-bit by ~53m-bit product per failure count,
+# so its time grows about as m^3: 0.8 s at n = 400 and 7 s at n = 1000 on a
+# 2-vCPU machine.  Every n the report and the acceptance gate use (<= 200)
+# stays inside the budget.
+_EXACT_BIGINT_MAX_MACHINES = 7 * 400
+
 
 class TooFewNodesError(ValueError):
     """The cyclic placement needs at least three nodes."""
@@ -251,6 +257,11 @@ def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
     # Homogeneous Horner from f = 7n down to 3 keeps every step a big-by-small
     # product: acc = sum_f w_f a^(f-3) b^(7n-f), then total = a^3 acc.
     m = MACHINES_PER_NODE * n
+    if m > _EXACT_BIGINT_MAX_MACHINES:
+        raise ValueError(
+            f"exact-bigint is limited to 7n <= {_EXACT_BIGINT_MAX_MACHINES} machines, "
+            f"got n = {n}; use the closed-form route for larger n"
+        )
     fp = Fraction(p)
     a, d = fp.numerator, fp.denominator
     b = d - a
@@ -331,7 +342,8 @@ def prob_data_loss(
     exact-bigint   -- oracle: the double sum over failure counts f = 3..5n
                       (weighted by the survival polynomial) and f = 5n+1..7n,
                       in exact integers, evaluated by homogeneous Horner from
-                      f = 7n down so every step is a big-by-small product.
+                      f = 7n down so every step is a big-by-small product;
+                      refused (ValueError) above n = 400.
     log-domain     -- oracle: the same sum in log space with compensated
                       summation.
 

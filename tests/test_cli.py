@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,10 +15,10 @@ import pytest
 import cloudalloc
 from cloudalloc import cli
 from cloudalloc.cli import run
-from cloudalloc.model import two_user_orbit
+from cloudalloc.model import ModelParams, SystemState, iterate, two_user_orbit
 
-# An orbit that leaves the divergence bound at stage 1245, after its first
-# rows have reached the output file.
+# An orbit that leaves the divergence bound at stage 1245, inside the second
+# row block, after its first rows have reached the output file.
 LATE_DIVERGENCE = ["iterate", "--alpha", "0.553", "--xi1", "1.191", "--xi2", "1.321",
                    "--v0", "-0.365", "--steps", "2000"]
 
@@ -25,6 +26,19 @@ LATE_DIVERGENCE = ["iterate", "--alpha", "0.553", "--xi1", "1.191", "--xi2", "1.
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def reference_orbit(alpha, xi1, xi2, v0, x1, x2, steps, transient):
+    """The kept stages from the reference `model.iterate`."""
+    p = ModelParams.two_user(alpha, xi1, xi2)
+    return [(s.l, s.v_c, *s.x)
+            for s in iterate(p, SystemState(0, v0, (x1, x2)), steps, transient)]
+
+
+def iterate_argv(alpha, xi1, xi2, v0, x1, x2, steps, transient):
+    return ["iterate", "--alpha", repr(alpha), "--xi1", repr(xi1), "--xi2", repr(xi2),
+            "--v0", repr(v0), "--x1", repr(x1), "--x2", repr(x2),
+            "--steps", str(steps), "--transient", str(transient)]
 
 
 class TestIterate:
@@ -127,6 +141,70 @@ class TestIterate:
         assert rc == 0
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("kept", [4095, 4096, 4097, 8193])
+    def test_csv_row_blocks_match_the_csv_module(self, kept, capsys):
+        # 4096 is a whole number of blocks, so these straddle block ends
+        assert 4096 % cli._ROWS_PER_BLOCK == 0
+        orbit = (0.6, 1.28, 1.23, 0.01, 0.01, -0.01, kept + 7, 7)
+        assert run(iterate_argv(*orbit)) == 0
+        *comments, body = capsys.readouterr().out.split("\n", 2)
+        assert all(line.startswith("# ") for line in comments)
+        oracle = io.StringIO()
+        writer = csv.writer(oracle, lineterminator="\n")
+        writer.writerow(["l", "v_c", "x1", "x2"])
+        writer.writerows(reference_orbit(*orbit))
+        assert body == oracle.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_divergence_inside_the_second_block_writes_nothing(self, fmt, tmp_path, capsys):
+        block = cli._ROWS_PER_BLOCK
+        argv = LATE_DIVERGENCE + ["--format", fmt]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stage = int(captured.err.split("diverged at stage ")[1].split()[0])
+        assert block < stage <= 2 * block
+        assert run(argv + ["--out", str(tmp_path / "orbit")]) == 2
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "orbit",
+        [
+            # signed zeros stay signed: v_c is -0.0 at every stage
+            (0.5, 0.0, 0.0, -0.0, -0.0, -0.0, 3000, 4),
+            (0.6, 1.28, 1.23, 0.01, 0.01, -0.01, 2500, 3),
+            (0.6, 1.28, 1.23, 0.01, 0.01, -0.01, 1, 0),
+        ],
+    )
+    def test_json_rows_match_the_buffered_document(self, orbit, capsys):
+        assert run(iterate_argv(*orbit) + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        envelope = {
+            "artifact": "cloudalloc",
+            "version": cloudalloc.__version__,
+            "config": json.loads(out)["config"],
+            "result": [dict(zip(("l", "v_c", "x1", "x2"), row))
+                       for row in reference_orbit(*orbit)],
+        }
+        assert out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        if orbit[3] == -0.0:
+            assert '"v_c": -0.0' in out
+
+    def test_json_rows_stream_in_bounded_memory(self, tmp_path):
+        # the buffered document (row dicts, their strict-JSON copy and one
+        # string) peaks at about 27 MiB here
+        argv = ["iterate", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
+                "--steps", "20000", "--format", "json", "--out", str(tmp_path / "orbit.json")]
+        tracemalloc.start()
+        try:
+            rc = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * 2**20
+        assert len(json.loads(read(tmp_path / "orbit.json"))["result"]) == 20000
+
     def test_json_format(self, capsys):
         rc = run(
             ["iterate", "--alpha", "0.5", "--xi1", "1", "--xi2", "1",
@@ -186,6 +264,40 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--v0", "--x1", "--x2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iterate", "--steps", "5"],
+            ["lyapunov", "--iters", "1000"],
+            ["bifurcate", "--param", "xi1", "--lo", "0.5", "--hi", "1", "--points", "2",
+             "--lyap-iters", "1000"],
+            ["storage-report", "--stages", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_initial_state_is_a_usage_error(self, argv, flag, value, capsys):
+        params = ["--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1"]
+        assert run(argv[:1] + params + argv[1:] + [f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {flag} must be finite, got {value}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["loss-exact", "--nodes", "1000", "--p", "0.01"],
+         ["loss-curve", "--nodes-list", "10,1000", "--p", "0.01"]],
+    )
+    def test_exact_bigint_work_budget(self, argv, capsys):
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact-bigint is limited to" in captured.err
+        assert "closed-form" in captured.err
 
     def test_stage_before_the_initial_stage(self, capsys):
         assert run(
@@ -295,17 +407,12 @@ class TestOutputs:
         assert doc["result"]["search"][0]["residual"] is None
 
         # a non-finite option value in a CSV header's config line
-        for argv in (
-            ["storage-report", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1",
-             "--v0", "inf", "--stages", "0"],
-            ["lyapunov", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
-             "--iters", "1000", "--format", "csv", "--zero-band", "inf"],
-        ):
-            assert run(argv) == 0
-            config_line = capsys.readouterr().out.splitlines()[1]
-            assert config_line.startswith("# config: ")
-            config = json.loads(config_line[len("# config: "):], parse_constant=reject)
-            assert None in config.values()
+        assert run(["lyapunov", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
+                    "--iters", "1000", "--format", "csv", "--zero-band", "inf"]) == 0
+        config_line = capsys.readouterr().out.splitlines()[1]
+        assert config_line.startswith("# config: ")
+        config = json.loads(config_line[len("# config: "):], parse_constant=reject)
+        assert config["zero_band"] is None
 
     def test_scale_sum_warning_names_the_cli(self, capsys):
         with warnings.catch_warnings(record=True) as record:

@@ -14,6 +14,7 @@ from cloudalloc.model import (
     iterate,
     step_general,
     step_two_user,
+    two_user_orbit,
 )
 
 
@@ -228,6 +229,45 @@ class TestIterate:
         assert len(set(comps)) == len(comps)
 
 
+class TestTwoUserOrbit:
+    """The inlined step and bound test of two_user_orbit against chained
+    step_two_user: same bits, same stage, same first offending component."""
+
+    @staticmethod
+    def chained(p, s0, steps):
+        rows, s = [], s0
+        for _ in range(steps):
+            s = step_two_user(p, s)
+            rows.append((s.l, s.v_c, *s.x))
+        return rows
+
+    def test_long_orbit_bit_for_bit(self):
+        p = ModelParams.two_user(0.6, 1.28, 1.23)
+        for s0 in (state(0.01, (0.01, -0.01)), state(-0.0, (0.0, -0.0), l=9)):
+            got = list(two_user_orbit(p, s0, 5000))
+            want = self.chained(p, s0, 5000)
+            assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want]
+
+    @pytest.mark.parametrize(
+        "s0, stage, value",
+        [
+            # u1 * v overflows while v stays in bound: x1 is the first offender
+            (state(1e12, (1.0, 1.0)), 1, "-inf"),
+            # u2 - u1 is inf - inf: v is nan
+            (state(0.0, (1e10, 1e10), l=3), 4, "nan"),
+        ],
+    )
+    def test_divergence_stage_and_component(self, s0, stage, value):
+        p = ModelParams.two_user(0.5, 1e300, 1e300)
+        with pytest.raises(DivergenceError) as inlined:
+            list(two_user_orbit(p, s0, 5))
+        with pytest.raises(DivergenceError) as reference:
+            self.chained(p, s0, 5)
+        assert inlined.value.stage == reference.value.stage == stage
+        assert repr(inlined.value.value) == repr(reference.value.value) == value
+        assert str(inlined.value) == str(reference.value)
+
+
 def bits(s):
     return (s.l, *(c.hex() for c in s.components()))
 
@@ -259,7 +299,7 @@ class TestTwoUserPathsProperty:
                 chained.append(nxt)
                 s = nxt
         except DivergenceError as exc:
-            stage = exc.stage
+            stage, value = exc.stage, repr(exc.value)
             with pytest.raises(DivergenceError) as err:
                 step_two_user(p, s)
             assert err.value.stage == stage
@@ -270,5 +310,5 @@ class TestTwoUserPathsProperty:
         else:
             with pytest.raises(DivergenceError) as err:
                 iterate(p, s0, steps=steps)
-            assert err.value.stage == stage
+            assert (err.value.stage, repr(err.value.value)) == (stage, value)
 
