@@ -352,6 +352,8 @@ def _cmd_loss_mc(args):
         "mode": est.mode,
         "p_hat": est.p_hat,
         "half_width_95": est.half_width_95,
+        "ci95_low": est.ci95_low,
+        "ci95_high": est.ci95_high,
     }
     return _json_document(_config_dict(args), result)
 

@@ -36,15 +36,22 @@ USER_LOCAL_IDS = frozenset(range(4, 7))
 
 SCENARIO_MODES = ("group", "structural")
 
-# Trials are generated in fixed-size chunks; chunk c of a run uses the
-# Philox stream `key=seed, jumped c times`, so trial t's draws depend only
+# Trials are generated in fixed-size chunks; chunk c of a run reads the
+# Philox stream `key=seed, jumped c times`, so trial t's outcome depends only
 # on (seed, t // CHUNK, t % CHUNK) -- never on worker count or total trials.
 _CHUNK_TRIALS = 4096
-# A chunk's draws stream through one buffer of about this many float64s,
-# filled row slab by row slab.  The generator fills in C order from one
-# sequential stream, so the slabs together are exactly the block
-# `rng.random((rows, 7n))` would return: estimates do not depend on it.
-_SLAB_DRAWS = 1 << 16
+# A chunk's machine-trial cells are the uint16 view of one sequential
+# `random_raw` stream, four cells per 64-bit word, read row-major as the
+# (rows, 7n) block.  They stream through slabs of at most about this many
+# cells, a multiple of four rows each, so no word is split between slabs
+# and the slabs together are exactly that block: estimates do not depend on
+# it.
+_SLAB_CELLS = 1 << 16
+# A cell equal to the threshold (a tie) draws a double, in row-major order,
+# from the chunk's stream advanced by 2**127: half way to the next chunk's
+# jump of 2**128, so disjoint from the cell words of every chunk.
+_TIE_ADVANCE = 2**127
+_Z95 = 1.96
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,9 @@ class McEstimate:
     seed: int
     mode: str
     p_hat: float
-    half_width_95: float
+    half_width_95: float    # Wald (normal approximation); 0 at p_hat 0 or 1
+    ci95_low: float         # Wilson score interval
+    ci95_high: float
 
 
 def group_fatal(failed_in_group) -> bool:
@@ -184,25 +193,60 @@ def _all_failed(failed: np.ndarray, columns: list[slice | np.ndarray]) -> np.nda
     return out
 
 
+def _failed_slabs(seed: int, chunk: int, rows: int, machines: int, p: float):
+    """A chunk's machine failures as consecutive row slabs of its (rows,
+    machines) block, each yielded as a view of one reused buffer.
+
+    A 16-bit cell fails iff it is below head = floor(p * 2^16).  A tie (a
+    cell equal to head, probability 2^-16) fails iff its double from the tie
+    stream is below frac = p * 2^16 - head; both parts are exact, so a cell
+    fails with probability p to within 2^-69, never at p = 0 and always at
+    p = 1 (head = 2^16).
+    """
+    cells_source = np.random.Philox(key=seed).jumped(chunk)
+    ties = np.random.Generator(
+        np.random.Philox(key=seed).jumped(chunk).advance(_TIE_ADVANCE)
+    )
+    scaled = math.ldexp(p, 16)
+    head = math.floor(scaled)
+    frac = scaled - head
+    slab = max(4, _SLAB_CELLS // (4 * machines) * 4)
+    failed = np.empty((min(slab, rows), machines), dtype=bool)
+    for start in range(0, rows, slab):
+        r = min(slab, rows - start)
+        words = cells_source.random_raw(-(-r * machines // 4))
+        cells = words.view(np.uint16)[: r * machines].reshape(r, machines)
+        f = np.less(cells, head, out=failed[:r])
+        if frac:
+            tied = np.flatnonzero(cells == head)
+            f.flat[tied] = ties.random(tied.size) < frac
+        yield f
+
+
 def _chunk_loss_count(
     seed: int, chunk: int, rows: int, machines: int, p: float,
     families: list[list[slice | np.ndarray]],
 ) -> int:
     """Trials of one chunk in which some set of some family failed whole."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-    slab = max(1, _SLAB_DRAWS // machines)
-    u = np.empty((min(slab, rows), machines))
-    failed = np.empty(u.shape, dtype=bool)
     losses = 0
-    for start in range(0, rows, slab):
-        r = min(slab, rows - start)
-        rng.random(out=u[:r])
-        f = np.less(u[:r], p, out=failed[:r])
+    for f in _failed_slabs(seed, chunk, rows, machines, p):
         lost = _all_failed(f, families[0])
         for columns in families[1:]:
             lost |= _all_failed(f, columns)
         losses += int(np.count_nonzero(lost.any(axis=1)))
     return losses
+
+
+def _wilson_95(losses: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of losses / trials (Wilson 1927); its
+    ends are exactly 0 and 1 where no or every trial was lost."""
+    z2 = _Z95 * _Z95
+    denom = trials + z2
+    center = (losses + z2 / 2) / denom
+    half = _Z95 * math.sqrt(losses * (trials - losses) / trials + z2 / 4) / denom
+    low = 0.0 if losses == 0 else center - half
+    high = 1.0 if losses == trials else center + half
+    return low, high
 
 
 def mc_estimate(
@@ -218,8 +262,9 @@ def mc_estimate(
     Each of the 7n machines fails independently with probability p per
     trial.  Trials are deterministic functions of (seed, trial index), so
     the estimate is identical for any worker count; workers only spread
-    the fixed trial chunks over threads.  The confidence half-width is
-    the 95% normal approximation.
+    the fixed trial chunks over threads.  half_width_95 is the 95% normal
+    (Wald) half-width; ci95_low and ci95_high are the 95% Wilson score
+    interval, which stays open at p_hat 0 and 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -229,6 +274,8 @@ def mc_estimate(
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
     machines = MACHINES_PER_NODE * n
 
@@ -247,10 +294,11 @@ def mc_estimate(
             losses = sum(pool.map(run_chunk, range(n_chunks)))
 
     p_hat = losses / trials
-    half_width = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    half_width = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    low, high = _wilson_95(losses, trials)
     return McEstimate(
         n=n, p=p, trials=trials, seed=seed, mode=mode,
-        p_hat=p_hat, half_width_95=half_width,
+        p_hat=p_hat, half_width_95=half_width, ci95_low=low, ci95_high=high,
     )
 
 

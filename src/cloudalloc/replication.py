@@ -251,17 +251,21 @@ class LossResult:
     per_f_terms: tuple[tuple[int, float], ...] | None = None
 
 
+def _check_exact_bigint_budget(n: int) -> None:
+    if MACHINES_PER_NODE * n > _EXACT_BIGINT_MAX_MACHINES:
+        raise ValueError(
+            f"exact-bigint is limited to 7n <= {_EXACT_BIGINT_MAX_MACHINES} machines, "
+            f"got n = {n}; use the closed-form route for larger n"
+        )
+
+
 def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
     # Work over the common denominator d^(7n) with p = a/d exactly, so the
     # whole double sum stays in integer arithmetic until the final division.
     # Homogeneous Horner from f = 7n down to 3 keeps every step a big-by-small
     # product: acc = sum_f w_f a^(f-3) b^(7n-f), then total = a^3 acc.
+    _check_exact_bigint_budget(n)
     m = MACHINES_PER_NODE * n
-    if m > _EXACT_BIGINT_MAX_MACHINES:
-        raise ValueError(
-            f"exact-bigint is limited to 7n <= {_EXACT_BIGINT_MAX_MACHINES} machines, "
-            f"got n = {n}; use the closed-form route for larger n"
-        )
     fp = Fraction(p)
     a, d = fp.numerator, fp.denominator
     b = d - a
@@ -374,10 +378,13 @@ class LossCurveRow:
 
 
 def loss_curve(n_list, p: float) -> list[LossCurveRow]:
-    """Data-loss probability per cluster size, plot-ready."""
+    """Data-loss probability per cluster size, plot-ready.  Every n is held
+    to the exact-bigint budget before the first sum is computed."""
     n_list = list(n_list)
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    for n in n_list:
+        _check_exact_bigint_budget(n)
     return [
         LossCurveRow(
             n=n,

@@ -202,6 +202,8 @@ def structural_section(mc_trials: int = 200_000, seed: int = 42) -> dict:
                 "group_exact": group_exact,
                 "structural_mc": structural.p_hat,
                 "structural_half_width_95": structural.half_width_95,
+                "structural_ci95_low": structural.ci95_low,
+                "structural_ci95_high": structural.ci95_high,
                 "ratio_structural_to_group": structural.p_hat / group_exact,
             }
         )
@@ -319,12 +321,19 @@ def render_discrepancy_markdown(data: dict) -> str:
     w("")
     w(f"Monte Carlo with {sg['trials']} trials, seed {sg['seed']}:")
     w("")
-    w("| n | p | group exact | structural MC | MC half-width | structural/group |")
-    w("|---|---|-------------|---------------|---------------|------------------|")
+    w(
+        "| n | p | group exact | structural MC | MC half-width "
+        "| 95% Wilson interval | structural/group |"
+    )
+    w(
+        "|---|---|-------------|---------------|---------------"
+        "|---------------------|------------------|"
+    )
     for row in sg["rows"]:
         w(
             f"| {row['n']} | {row['p']} | {row['group_exact']:.6e} "
             f"| {row['structural_mc']:.6e} | {row['structural_half_width_95']:.2e} "
+            f"| [{row['structural_ci95_low']:.6e}, {row['structural_ci95_high']:.6e}] "
             f"| {row['ratio_structural_to_group']:.4f} |"
         )
     w("")

@@ -299,6 +299,27 @@ class TestUsageErrors:
         assert "exact-bigint is limited to" in captured.err
         assert "closed-form" in captured.err
 
+    def test_loss_curve_checks_every_n_before_the_first_sum(self, capsys, monkeypatch):
+        calls = []
+        real = cli.replication.prob_data_loss
+        monkeypatch.setattr(
+            cli.replication, "prob_data_loss",
+            lambda n, *rest: calls.append(n) or real(n, *rest),
+        )
+        assert run(["loss-curve", "--nodes-list", "400,401", "--p", "0.0103"]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact-bigint is limited to 7n <= 2800 machines, got n = 401" in captured.err
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_loss_mc_seed_range(self, seed, capsys):
+        argv = ["loss-mc", "--nodes", "3", "--p", "0.1", "--trials", "100", "--seed", str(seed)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: seed must lie in [0, 2**128), got {seed}\n" == captured.err
+
     def test_stage_before_the_initial_stage(self, capsys):
         assert run(
             ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
@@ -450,8 +471,12 @@ class TestLossCommands:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         res = doc["result"]
-        assert set(res) == {"n", "p", "trials", "seed", "mode", "p_hat", "half_width_95"}
+        assert set(res) == {
+            "n", "p", "trials", "seed", "mode", "p_hat", "half_width_95",
+            "ci95_low", "ci95_high",
+        }
         assert res["seed"] == 42
+        assert res["ci95_low"] < res["p_hat"] < res["ci95_high"]
 
 
 class TestAnalysisCommands:
@@ -556,6 +581,7 @@ class TestDiscrepancyReport:
         ):
             assert heading in out
         assert "exact/reference" in out
+        assert "| 95% Wilson interval |" in out
 
     def test_report_deterministic(self, tmp_path):
         a = tmp_path / "a.md"

@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudalloc.failsim import (
-    _SLAB_DRAWS,
+    _SLAB_CELLS,
+    SCENARIO_MODES,
     FailureScenario,
     McEstimate,
     _chunk_loss_count,
+    _failed_slabs,
     _hosting_sets,
     _member_columns,
     exhaustive_loss_probability,
@@ -149,14 +153,41 @@ class TestHostingSets:
             assert sorted(members.tolist()) == list(range(m))
 
 
+def _assert_wilson_ends(est):
+    # each end of the Wilson score interval solves
+    # (p_hat - x)^2 = z^2 x (1 - x) / trials
+    z2 = 1.96**2
+    for x in (est.ci95_low, est.ci95_high):
+        assert (est.p_hat - x) ** 2 == pytest.approx(
+            z2 * x * (1 - x) / est.trials, rel=1e-9, abs=1e-18
+        )
+
+
 class TestMcEstimate:
     def test_p_zero_exact(self):
         est = mc_estimate(5, 0.0, 10_000, seed=1)
         assert est.p_hat == 0.0 and est.half_width_95 == 0.0
+        # the Wilson interval does not claim certainty the Wald one does
+        assert est.ci95_low == 0.0 and est.ci95_high == 1.96**2 / (10_000 + 1.96**2)
+        _assert_wilson_ends(est)
 
     def test_p_one_exact(self):
         est = mc_estimate(5, 1.0, 10_000, seed=1)
         assert est.p_hat == 1.0
+        assert est.ci95_high == 1.0 and 0.999 < est.ci95_low < 1.0
+        _assert_wilson_ends(est)
+
+    def test_wilson_interval_brackets_the_estimate(self):
+        for trials in (1, 7, 20_000):
+            est = mc_estimate(4, 0.2, trials, seed=77)
+            assert 0.0 <= est.ci95_low <= est.p_hat <= est.ci95_high <= 1.0
+            _assert_wilson_ends(est)
+
+    def test_golden_estimate(self):
+        # pins the random stream: a change to how cells or ties are drawn
+        # must show up here, never silently
+        est = mc_estimate(10, 0.1, 20_000, seed=42)
+        assert est.p_hat == 253 / 20_000
 
     def test_deterministic_for_fixed_seed(self):
         a = mc_estimate(4, 0.2, 50_000, seed=77)
@@ -179,9 +210,20 @@ class TestMcEstimate:
         sigma = est.half_width_95 / 1.96
         assert abs(est.p_hat - exact) <= 3 * sigma
 
+    @pytest.mark.parametrize("mode", SCENARIO_MODES)
+    def test_concords_with_exhaustive_enumeration(self, mode):
+        exact = exhaustive_loss_probability(3, 0.3, mode)
+        est = mc_estimate(3, 0.3, 400_000, seed=11, mode=mode)
+        sigma = math.sqrt(exact * (1.0 - exact) / est.trials)
+        assert abs(est.p_hat - exact) <= 4 * sigma
+
     def test_structural_mode_runs(self):
         est = mc_estimate(5, 0.3, 20_000, seed=9, mode="structural")
         assert 0.0 < est.p_hat < 1.0
+
+    def test_seed_range_ends(self):
+        for seed in (0, 2**128 - 1):
+            assert mc_estimate(3, 0.5, 100, seed=seed).seed == seed
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -196,34 +238,57 @@ class TestMcEstimate:
             mc_estimate(5, 0.5, 100, mode="psychic")
         with pytest.raises(ValueError):
             mc_estimate(5, 0.5, 100, workers=0)
+        for seed in (-1, 2**128):
+            message = rf"seed must lie in \[0, 2\*\*128\), got {seed}"
+            with pytest.raises(ValueError, match=message):
+                mc_estimate(5, 0.5, 100, seed=seed)
 
 
-def _whole_block_draws(seed, chunk, rows, n):
-    """A chunk's draws as one (rows, 7n) block, the way the kernel's row
+def _whole_block_cells(seed, chunk, rows, n):
+    """A chunk's 16-bit cells as one (rows, 7n) block: the uint16 view of
+    one random_raw call on the chunk's stream, the way the kernel's row
     slabs must reproduce them."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-    return rng.random((rows, 7 * n))
+    cells = rows * 7 * n
+    words = np.random.Philox(key=seed).jumped(chunk).random_raw(-(-cells // 4))
+    return words.view(np.uint16)[:cells].reshape(rows, 7 * n)
 
 
-def _whole_block_losses(draws, n, p, hosts):
-    """Reference classification: reshape/.all per group, or the 3-D gather
-    of every hosting set of the placement's `hosts` (structural mode)."""
-    failed = draws < p
+def _whole_block_failures(cells, seed, chunk, p):
+    """Reference thresholds: a cell fails below floor(p 2^16); each tie, in
+    row-major order, fails iff its double from the chunk's stream advanced
+    by 2^127 is below the exact remainder."""
+    scaled = Fraction(p) * 2**16
+    head = math.floor(scaled)
+    failed = cells < head
+    tied = np.flatnonzero(cells == head)
+    ties = np.random.Generator(np.random.Philox(key=seed).jumped(chunk).advance(2**127))
+    failed.flat[tied] = ties.random(tied.size) < float(scaled - head)
+    return failed
+
+
+def _kernel_failures(seed, chunk, rows, n, p):
+    return np.concatenate([f.copy() for f in _failed_slabs(seed, chunk, rows, 7 * n, p)])
+
+
+def _whole_block_losses(failed, n, hosts):
+    """Reference classification per row: reshape/.all per group, or the 3-D
+    gather of every hosting set of the placement's `hosts` (structural)."""
     rows = failed.shape[0]
     if hosts is None:
         owner_fatal = failed[:, : 4 * n].reshape(rows, n, 4).all(axis=2)
         user_fatal = failed[:, 4 * n :].reshape(rows, n, 3).all(axis=2)
-        lost = (owner_fatal | user_fatal).any(axis=1)
-    else:
-        lost = np.zeros(rows, dtype=bool)
-        for half in ("A", "B"):
-            idx = np.array([hosts[(node, half)] for node in range(1, n + 1)])
-            lost |= failed[:, idx].all(axis=2).any(axis=1)
-    return int(lost.sum())
+        return (owner_fatal | user_fatal).any(axis=1)
+    lost = np.zeros(rows, dtype=bool)
+    for half in ("A", "B"):
+        idx = np.array([hosts[(node, half)] for node in range(1, n + 1)])
+        lost |= failed[:, idx].all(axis=2).any(axis=1)
+    return lost
 
 
 class TestChunkKernel:
-    PS = (0.0, 1.0, 0.03, 0.1, 0.5, 5e-324, 1 - 2**-53)
+    # 2^-16: frac = 0, ties never fail; 3 * 2^-20: head = 0, only ties fail;
+    # 1 - 2^-53: head = 2^16 - 1 and frac just below 1
+    PS = (0.0, 1.0, 0.03, 0.1, 0.5, 5e-324, 1 - 2**-53, 2**-16, 3 * 2**-20)
 
     @pytest.mark.parametrize(
         "n, rows",
@@ -232,25 +297,40 @@ class TestChunkKernel:
             for n in (1, 3, 4, 10, 37, 1000)
             for rows in (1, 7, 4096)
         ]
-        # 7n > _SLAB_DRAWS: every slab is a single row
-        + [(_SLAB_DRAWS // 7 + 1, 1), (_SLAB_DRAWS // 7 + 1, 7)],
+        # 7n > _SLAB_CELLS: every slab is four rows
+        + [(_SLAB_CELLS // 7 + 1, 1), (_SLAB_CELLS // 7 + 1, 7)],
     )
     def test_row_slabs_match_whole_block(self, n, rows):
-        draws = _whole_block_draws(5, 3, rows, n)
+        cells = _whole_block_cells(5, 3, rows, n)
         group = [_member_columns(s) for s in _hosting_sets(n, "group")]
         gathers = [list(s.T) for s in _hosting_sets(n, "group")]  # no views
+        hosts = structural = None
+        if n >= 3:
+            hosts = build_placement(n).half_hosts()
+            structural = [_member_columns(s) for s in _hosting_sets(n, "structural")]
         for p in self.PS:
-            want = _whole_block_losses(draws, n, p, None)
+            failed = _whole_block_failures(cells, 5, 3, p)
+            assert np.array_equal(_kernel_failures(5, 3, rows, n, p), failed), (n, rows, p)
+            want = int(_whole_block_losses(failed, n, None).sum())
             assert _chunk_loss_count(5, 3, rows, 7 * n, p, group) == want, (n, rows, p)
             assert _chunk_loss_count(5, 3, rows, 7 * n, p, gathers) == want, (n, rows, p)
-        if n < 3:
-            return
-        hosts = build_placement(n).half_hosts()
-        structural = [_member_columns(s) for s in _hosting_sets(n, "structural")]
-        for p in self.PS:
-            want = _whole_block_losses(draws, n, p, hosts)
-            got = _chunk_loss_count(5, 3, rows, 7 * n, p, structural)
-            assert got == want, (n, rows, p)
+            if hosts:
+                want = int(_whole_block_losses(failed, n, hosts).sum())
+                got = _chunk_loss_count(5, 3, rows, 7 * n, p, structural)
+                assert got == want, (n, rows, p)
+
+    @pytest.mark.parametrize("n", [1, 10, 37])
+    def test_short_chunk_is_a_prefix_of_a_full_chunk(self, n):
+        # a threshold one cell of the 7th row ties with, so the prefix reads
+        # the tie stream too
+        cells = _whole_block_cells(8, 2, 7, n)
+        p = (int(cells[6, 0]) + 0.5) * 2**-16
+        full = _kernel_failures(8, 2, 4096, n, p)
+        assert np.array_equal(_kernel_failures(8, 2, 7, n, p), full[:7])
+        group = [_member_columns(s) for s in _hosting_sets(n, "group")]
+        lost = _whole_block_losses(full, n, None)
+        counts = [_chunk_loss_count(8, 2, rows, 7 * n, p, group) for rows in range(1, 8)]
+        assert counts == np.cumsum(lost[:7]).tolist()
 
     def test_evenly_stepped_ids_are_read_as_views(self):
         quads, triples = _hosting_sets(10, "group")
