@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -145,12 +146,10 @@ def _add_params(parser, with_state=True):
         parser.add_argument("--x2", type=float, default=-0.01)
 
 
-def _add_output(parser, formats=("csv", "json"), default=None):
+def _add_output(parser, formats=("csv", "json")):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if formats:
-        parser.add_argument(
-            "--format", choices=formats, default=default or formats[0]
-        )
+        parser.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _params(args) -> ModelParams:
@@ -204,16 +203,7 @@ def _cmd_fixed_points(args):
     results = dynamics.find_fixed_points(params, seeds)
     claimed_residual = dynamics.map_residual(params, claimed)
     result = {
-        "search": [
-            {
-                "seed": list(seed),
-                "point": list(r.point),
-                "residual": r.residual,
-                "converged": r.converged,
-                "iterations": r.iterations,
-            }
-            for seed, r in zip(seeds, results)
-        ],
+        "search": [{"seed": seed, **dataclasses.asdict(r)} for seed, r in zip(seeds, results)],
         "claimed_point": {
             "point": list(claimed),
             "residual_vector": [float(c) for c in claimed_residual],
@@ -230,8 +220,7 @@ def _cmd_lyapunov(args):
     config = _config_dict(args)
     if args.format == "csv":
         rows = (
-            (100 * (i + 1) if i < len(spec.history) - 1 else spec.iterations, *h)
-            for i, h in enumerate(spec.history)
+            (k, *h) for k, h in zip(spec._history_iterations(), spec.history, strict=True)
         )
         return _csv_document(config, ["iteration", "lambda1", "lambda2", "lambda3"], rows)
     result = {
@@ -316,23 +305,17 @@ def _cmd_placement(args):
 
 
 def _cmd_loss_exact(args):
-    result = {
-        "n": args.nodes,
-        "p": args.p,
-        "exact_bigint": replication.prob_data_loss(args.nodes, args.p, "exact-bigint").p_loss,
-        "log_domain": replication.prob_data_loss(args.nodes, args.p, "log-domain").p_loss,
-        "closed_form": replication.prob_data_loss(args.nodes, args.p, "closed-form").p_loss,
-    }
+    result = {"n": args.nodes, "p": args.p}
+    for method in replication.LOSS_METHODS:
+        loss = replication.prob_data_loss(args.nodes, args.p, method)
+        result[method.replace("-", "_")] = loss.p_loss
     return _json_document(_config_dict(args), result)
 
 
 def _cmd_loss_curve(args):
     rows = replication.loss_curve(_int_list(args.nodes_list), args.p)
-    return _csv_document(
-        _config_dict(args),
-        ["n", "p", "p_loss_exact", "p_loss_closed_form"],
-        ((r.n, r.p, r.p_loss_exact, r.p_loss_closed_form) for r in rows),
-    )
+    header = [f.name for f in dataclasses.fields(replication.LossCurveRow)]
+    return _csv_document(_config_dict(args), header, map(dataclasses.astuple, rows))
 
 
 def _cmd_loss_mc(args):
@@ -344,23 +327,12 @@ def _cmd_loss_mc(args):
         mode=args.mode,
         workers=args.workers,
     )
-    result = {
-        "n": est.n,
-        "p": est.p,
-        "trials": est.trials,
-        "seed": est.seed,
-        "mode": est.mode,
-        "p_hat": est.p_hat,
-        "half_width_95": est.half_width_95,
-        "ci95_low": est.ci95_low,
-        "ci95_high": est.ci95_high,
-    }
-    return _json_document(_config_dict(args), result)
+    return _json_document(_config_dict(args), dataclasses.asdict(est))
 
 
 def _cmd_verify_coefficients(args):
     counts = failsim.verify_coefficients()
-    expected = tuple(replication.base_polynomial()) + (0, 0)
+    expected = replication.BASE_COEFFS + (0, 0)
     result = {
         "non_fatal_counts": list(counts),
         "expected": list(expected),
@@ -378,7 +350,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cloudalloc")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("iterate", parents=[], help="iterate the two-user map")
+    p = sub.add_parser("iterate", help="iterate the two-user map")
     _add_params(p)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--transient", type=int, default=0)

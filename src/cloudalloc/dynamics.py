@@ -199,6 +199,10 @@ def hopf_alpha(xi1: float, xi2: float) -> float:
     return (3.0 * (xi1 - xi2) ** 2 + 4.0 * xi1 * xi2) / (3.0 * (xi1 - xi2))
 
 
+# iterations between the running estimates of a Lyapunov history
+_HISTORY_STRIDE = 100
+
+
 @dataclass(frozen=True)
 class LyapunovSpectrum:
     """Benettin-style exponent estimates in nats per iteration.
@@ -213,6 +217,11 @@ class LyapunovSpectrum:
     @property
     def largest(self) -> float:
         return self.exponents[0]
+
+    def _history_iterations(self) -> list[int]:
+        """The iteration count of each `history` entry: every stride short
+        of `iterations`, then `iterations` itself."""
+        return [*range(_HISTORY_STRIDE, self.iterations, _HISTORY_STRIDE), self.iterations]
 
 
 def _tangent_orbit(
@@ -231,8 +240,8 @@ def _tangent_orbit(
     columns q_j by the Jacobian at the current state and re-orthonormalizes
     them by modified Gram-Schmidt, whose stretch factors r_jj equal |R_jj|
     of a QR factorization.  Returns (v samples, the three log-stretch sums,
-    the running means sums/k every 100 stages before the last, in column
-    order; empty unless `history`).
+    the running means sums/k every _HISTORY_STRIDE stages before the last,
+    in column order; empty unless `history`).
 
     All three phases read one `two_user_orbit` generator, so the state
     step and its bound test are written once, and DivergenceError carries
@@ -302,7 +311,7 @@ def _tangent_orbit(
         q13, q23, q33 = m1 / r, m2 / r, m3 / r
 
         _, v, x1, x2 = step()
-        if history and k % 100 == 0 and k < iterations:
+        if history and k % _HISTORY_STRIDE == 0 and k < iterations:
             means.append((s1 / k, s2 / k, s3 / k))
     return v_samples, (s1, s2, s3), means
 

@@ -280,12 +280,10 @@ def mc_estimate(
     machines = MACHINES_PER_NODE * n
 
     n_chunks = (trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
-    sizes = [
-        min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS) for c in range(n_chunks)
-    ]
 
     def run_chunk(c: int) -> int:
-        return _chunk_loss_count(seed, c, sizes[c], machines, p, families)
+        rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
+        return _chunk_loss_count(seed, c, rows, machines, p, families)
 
     if workers == 1:
         losses = sum(run_chunk(c) for c in range(n_chunks))

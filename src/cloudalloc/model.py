@@ -4,8 +4,9 @@ One owner holds a capacity level v_c; each of n users holds a demand
 level x_i.  Per stage the capacity is rescaled by alpha and debited by
 the signed user allocations (-1)^i * xi_i * x_i, while each demand is
 driven by its own allocation times the capacity minus everyone else's
-allocations.  The two-user form gets a dedicated fast path; both forms
-are kept bit-for-bit identical.
+allocations.  `step_general` and its chain `iterate` are the reference
+map for any number of users; the two-user form gets a dedicated raw
+loop, `two_user_orbit`, kept bit-for-bit identical to that chain.
 """
 
 from __future__ import annotations
@@ -201,8 +202,9 @@ def check_window(steps: int, transient: int) -> None:
 def two_user_orbit(params: ModelParams, s0: SystemState, steps: int):
     """Yield (l, v_c, x1, x2) at stages s0.l + 1 through s0.l + steps of the
     two-user map, as bare floats; raise DivergenceError at the first stage
-    that leaves the bound.  The raw loop behind `iterate`, the CLI, the
-    ledger and the dynamics kernel: no SystemState is built per stage.
+    that leaves the bound.  The raw loop behind the CLI, the ledger and
+    the dynamics kernel: no SystemState is built per stage.  It equals the
+    reference chain `iterate` bit for bit, divergence stage included.
 
     The step is `step_two_user_raw` written inline, with its term grouping,
     and the bound test is `check_divergence`'s comparison written inline;
@@ -229,29 +231,14 @@ def iterate(
     The returned states are those at stages s0.l + transient + 1
     through s0.l + steps; s0 itself is never included.  Raises
     DivergenceError (with the offending stage) if the orbit leaves the bound.
-    Two users take the raw loop of `two_user_orbit` and wrap only the kept
-    stages; other user counts chain `step_general`.  Both are bit-identical
-    to chaining `step_two_user` / `step_general`.
+    The reference chain of `step_general`, for any number of users; the
+    production loops run `two_user_orbit`, which the tests hold to it.
     """
     check_window(steps, transient)
-    if len(s0.x) != params.n_users:
-        raise ValueError(
-            f"state has {len(s0.x)} demand components but params define {params.n_users} users"
-        )
-
-    if params.n_users == 2:
-        first_kept = s0.l + transient + 1
-        kept = [
-            SystemState(l=l, v_c=v, x=(x1, x2))
-            for l, v, x1, x2 in two_user_orbit(params, s0, steps)
-            if l >= first_kept
-        ]
-    else:
-        state = s0
-        kept = []
-        for k in range(steps):
-            state = step_general(params, state)
-            if k >= transient:
-                kept.append(state)
+    state = s0
+    kept = []
+    for k in range(steps):
+        state = step_general(params, state)
+        if k >= transient:
+            kept.append(state)
     return tuple(kept)
-

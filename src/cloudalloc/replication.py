@@ -27,6 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Survival coefficients (1, 7, 21, 34, 30, 12) of one 7-machine group:
+# a_f counts the f-machine failure subsets that destroy no data half.
+# a1 = C(7,6) and a2 = C(7,5) (one or two failures are always safe),
+# a3 = C(7,4) - 1 (only the all-user triple is fatal),
+# a4 = C(7,3) - C(4,3) - 1, a5 = C(7,2) - C(4,2) - C(3,2), and every
+# subset of six or more machines loses a half.
 BASE_COEFFS = (
     1,
     math.comb(7, 6),                                  # 7
@@ -105,8 +111,10 @@ class PlacementPlan:
         return {k: tuple(sorted(v)) for k, v in sorted(hosts.items())}
 
 
-def _wrap(i: int, n: int) -> int:
-    return (i - 1) % n + 1
+# The data halves each replica kind puts on its block's machines, in
+# entry order: a primary is split across two machines, S1 hosts half A
+# and S2 half B.
+_KIND_HALVES = {"P": ("A", "B"), "S1": ("A",), "S2": ("B",)}
 
 
 def build_placement(n: int) -> PlacementPlan:
@@ -120,57 +128,29 @@ def build_placement(n: int) -> PlacementPlan:
     if n < 3:
         raise TooFewNodesError(f"placement requires n >= 3 nodes, got {n}")
 
-    owner_blocks = []
-    user_blocks = []
-    machines = []
-    for i in range(1, n + 1):
-        s1 = _wrap(i + 1, n)
-        s2 = _wrap(i + 2, n)
-        ids = owner_machine_ids(i)
-        owner_blocks.append(
-            Block(
-                rack="owner",
-                index=i,
-                entries=(
-                    ReplicaLabel("P", i),
-                    ReplicaLabel("S1", s1),
-                    ReplicaLabel("S2", s2),
-                ),
-                machine_ids=ids,
-            )
-        )
-        machines.append(Machine(ids[0], "owner", i, (i, "A")))
-        machines.append(Machine(ids[1], "owner", i, (i, "B")))
-        machines.append(Machine(ids[2], "owner", i, (s1, "A")))
-        machines.append(Machine(ids[3], "owner", i, (s2, "B")))
-
-    for i in range(1, n + 1):
-        e1 = i
-        e2 = _wrap(i + 1, n)
-        e3 = _wrap(i + 2, n)
-        ids = user_machine_ids(n, i)
-        user_blocks.append(
-            Block(
-                rack="user",
-                index=i,
-                entries=(
-                    ReplicaLabel("S1", e1),
-                    ReplicaLabel("S2", e2),
-                    ReplicaLabel("S1", e3),
-                ),
-                machine_ids=ids,
-            )
-        )
-        machines.append(Machine(ids[0], "user", i, (e1, "A")))
-        machines.append(Machine(ids[1], "user", i, (e2, "B")))
-        machines.append(Machine(ids[2], "user", i, (e3, "A")))
-
-    return PlacementPlan(
-        n=n,
-        owner_blocks=tuple(owner_blocks),
-        user_blocks=tuple(user_blocks),
-        machines=tuple(sorted(machines, key=lambda m: m.id)),
+    # one label per replica, shared by the blocks that hold it:
+    # P[i], S1[i] and S2[i] are the copies of node i + 1
+    P, S1, S2 = ([ReplicaLabel(kind, i) for i in range(1, n + 1)] for kind in ("P", "S1", "S2"))
+    owner_blocks = tuple(
+        Block("owner", i + 1, (P[i], S1[(i + 1) % n], S2[(i + 2) % n]), owner_machine_ids(i + 1))
+        for i in range(n)
     )
+    user_blocks = tuple(
+        Block("user", i + 1, (S1[i], S2[(i + 1) % n], S1[(i + 2) % n]), user_machine_ids(n, i + 1))
+        for i in range(n)
+    )
+    # owner ids precede user ids and rise within each rack, so this is
+    # already the id order
+    machines = tuple(
+        Machine(machine_id, b.rack, b.index, half)
+        for b in owner_blocks + user_blocks
+        for machine_id, half in zip(
+            b.machine_ids,
+            [(e.node, h) for e in b.entries for h in _KIND_HALVES[e.kind]],
+            strict=True,
+        )
+    )
+    return PlacementPlan(n, owner_blocks, user_blocks, machines)
 
 
 def render_plan(plan: PlacementPlan) -> str:
@@ -181,18 +161,6 @@ def render_plan(plan: PlacementPlan) -> str:
         ids = ",".join(str(i) for i in block.machine_ids)
         lines.append(f"{block.rack} {block.index} {members} machines={ids}")
     return "\n".join(lines) + "\n"
-
-
-def base_polynomial() -> tuple[int, ...]:
-    """Survival coefficients (1, 7, 21, 34, 30, 12) of one 7-machine group.
-
-    a_f counts the f-machine failure subsets that destroy no data half:
-    a1 = C(7,6) and a2 = C(7,5) (one or two failures are always safe),
-    a3 = C(7,4) - 1 (only the all-user triple is fatal),
-    a4 = C(7,3) - C(4,3) - 1, a5 = C(7,2) - C(4,2) - C(3,2), and every
-    subset of six or more machines loses a half.
-    """
-    return BASE_COEFFS
 
 
 @functools.lru_cache(maxsize=64)
@@ -247,7 +215,6 @@ def prob_f_failures(n: int, f: int, p: float) -> float:
 @dataclass(frozen=True)
 class LossResult:
     p_loss: float
-    method: str
     per_f_terms: tuple[tuple[int, float], ...] | None = None
 
 
@@ -286,7 +253,6 @@ def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
         comb = comb * f // (m - f + 1)
     return LossResult(
         p_loss=acc * a**3 / denom,
-        method="exact-bigint",
         per_f_terms=tuple(reversed(terms)) if terms is not None else None,
     )
 
@@ -294,10 +260,10 @@ def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
 def _log_domain_loss(n: int, p: float, want_terms: bool) -> LossResult:
     m = MACHINES_PER_NODE * n
     if p == 0.0:
-        return LossResult(0.0, "log-domain", () if want_terms else None)
+        return LossResult(0.0, () if want_terms else None)
     if p == 1.0:
         per = ((m, 1.0),) if want_terms else None
-        return LossResult(1.0, "log-domain", per)
+        return LossResult(1.0, per)
     coeffs = loss_polynomial(n)
     log_p = math.log(p)
     log_q = math.log1p(-p)
@@ -319,7 +285,6 @@ def _log_domain_loss(n: int, p: float, want_terms: bool) -> LossResult:
     terms = [(f, math.exp(lg)) for f, lg in zip(fs, logs)]
     return LossResult(
         p_loss=math.fsum(t for _, t in terms),
-        method="log-domain",
         per_f_terms=tuple(terms) if want_terms else None,
     )
 
@@ -330,9 +295,7 @@ def _closed_form_loss(n: int, p: float) -> LossResult:
     # exact rational to keep the tiny-probability regime meaningful.
     fp = Fraction(p)
     survive = 1 - fp**3 - fp**4 + fp**7
-    return LossResult(
-        p_loss=float(1 - survive**n), method="closed-form", per_f_terms=None
-    )
+    return LossResult(p_loss=float(1 - survive**n))
 
 
 def prob_data_loss(

@@ -200,10 +200,7 @@ def structural_section(mc_trials: int = 200_000, seed: int = 42) -> dict:
                 "n": n,
                 "p": p,
                 "group_exact": group_exact,
-                "structural_mc": structural.p_hat,
-                "structural_half_width_95": structural.half_width_95,
-                "structural_ci95_low": structural.ci95_low,
-                "structural_ci95_high": structural.ci95_high,
+                "structural": structural,
                 "ratio_structural_to_group": structural.p_hat / group_exact,
             }
         )
@@ -330,10 +327,11 @@ def render_discrepancy_markdown(data: dict) -> str:
         "|---------------------|------------------|"
     )
     for row in sg["rows"]:
+        est = row["structural"]
         w(
             f"| {row['n']} | {row['p']} | {row['group_exact']:.6e} "
-            f"| {row['structural_mc']:.6e} | {row['structural_half_width_95']:.2e} "
-            f"| [{row['structural_ci95_low']:.6e}, {row['structural_ci95_high']:.6e}] "
+            f"| {est.p_hat:.6e} | {est.half_width_95:.2e} "
+            f"| [{est.ci95_low:.6e}, {est.ci95_high:.6e}] "
             f"| {row['ratio_structural_to_group']:.4f} |"
         )
     w("")

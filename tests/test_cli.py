@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -454,6 +455,7 @@ class TestLossCommands:
         assert run(["loss-exact", "--nodes", "10", "--p", "0.01"]) == 0
         doc = json.loads(capsys.readouterr().out)
         res = doc["result"]
+        assert set(res) == {"n", "p", "exact_bigint", "log_domain", "closed_form"}
         assert res["exact_bigint"] == pytest.approx(res["closed_form"], rel=1e-12)
         assert res["exact_bigint"] == pytest.approx(1.01e-5, rel=1e-2)
 
@@ -491,14 +493,17 @@ class TestAnalysisCommands:
         assert doc["result"]["classification"] == "fixed/periodic"
 
     def test_lyapunov_history_csv(self, capsys):
-        rc = run(
-            ["lyapunov", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
-             "--iters", "1000", "--format", "csv"]
-        )
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[2] == "iteration,lambda1,lambda2,lambda3"
-        assert lines[-1].split(",")[0] == "1000"
+        # a running estimate every 100 iterations, then the final one
+        for iters, last in (("1000", []), ("1050", ["1050"])):
+            rc = run(
+                ["lyapunov", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
+                 "--iters", iters, "--format", "csv"]
+            )
+            assert rc == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert lines[2] == "iteration,lambda1,lambda2,lambda3"
+            column = [row.split(",")[0] for row in lines[3:]]
+            assert column == [str(100 * k) for k in range(1, 11)] + last
 
     def test_fixed_points_reports_claimed_point(self, capsys):
         rc = run(["fixed-points", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28"])
@@ -506,8 +511,10 @@ class TestAnalysisCommands:
         doc = json.loads(capsys.readouterr().out)
         claimed = doc["result"]["claimed_point"]
         assert claimed["residual"] == pytest.approx(1.0, abs=1e-9)
-        origin = doc["result"]["search"][0]
-        assert origin["converged"] and origin["residual"] < 1e-12
+        search = doc["result"]["search"]
+        for row in search:
+            assert set(row) == {"seed", "point", "residual", "converged", "iterations"}
+        assert search[0]["converged"] and search[0]["residual"] < 1e-12
 
     def test_bifurcate_csv(self, capsys):
         rc = run(
@@ -590,3 +597,21 @@ class TestDiscrepancyReport:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert read(a) == read(b)
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_parses(self):
+        """Every `cloudalloc ...` line of the README's CLI block, with `\\`
+        continuations joined, is accepted by the parser (nothing runs)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("cloudalloc ")
+        ]
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            assert args.subcommand == argv[1]

@@ -23,7 +23,7 @@ from cloudalloc.failsim import (
     scenario_loss,
     verify_coefficients,
 )
-from cloudalloc.replication import base_polynomial, build_placement, prob_data_loss
+from cloudalloc.replication import BASE_COEFFS, build_placement, prob_data_loss
 
 
 class TestGroupFatal:
@@ -53,7 +53,7 @@ class TestVerifyCoefficients:
     def test_counts_match_survival_coefficients(self):
         counts = verify_coefficients()
         assert counts == (1, 7, 21, 34, 30, 12, 0, 0)
-        assert counts[:6] == base_polynomial()
+        assert counts[:6] == BASE_COEFFS
 
     def test_boundary_sizes(self):
         counts = verify_coefficients()

@@ -272,9 +272,15 @@ def bits(s):
     return (s.l, *(c.hex() for c in s.components()))
 
 
+def row_bits(row):
+    l, *comps = row
+    return (l, *(c.hex() for c in comps))
+
+
 class TestTwoUserPathsProperty:
-    """step_general, step_two_user and the raw two-user loop of iterate are
-    one map: same bits (signed zeros included) and same divergence stage."""
+    """step_general, step_two_user and the raw production loop
+    two_user_orbit are one map: same bits (signed zeros included), same
+    divergence stage and same first offending component."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -290,7 +296,7 @@ class TestTwoUserPathsProperty:
             p = ModelParams(alpha=alpha, xi=xi)
         s0 = state(comps[0], comps[1:], l=l)
 
-        chained, stage = [], None
+        chained, diverged = [], None
         s = s0
         try:
             for _ in range(steps):
@@ -299,16 +305,16 @@ class TestTwoUserPathsProperty:
                 chained.append(nxt)
                 s = nxt
         except DivergenceError as exc:
-            stage, value = exc.stage, repr(exc.value)
+            diverged = (exc.stage, repr(exc.value))
             with pytest.raises(DivergenceError) as err:
                 step_two_user(p, s)
-            assert err.value.stage == stage
+            assert err.value.stage == exc.stage
 
-        if stage is None:
-            traj = iterate(p, s0, steps=steps)
-            assert [bits(t) for t in traj] == [bits(c) for c in chained]
-        else:
-            with pytest.raises(DivergenceError) as err:
-                iterate(p, s0, steps=steps)
-            assert (err.value.stage, repr(err.value.value)) == (stage, value)
-
+        rows, orbit_diverged = [], None
+        try:
+            for row in two_user_orbit(p, s0, steps):
+                rows.append(row)
+        except DivergenceError as exc:
+            orbit_diverged = (exc.stage, repr(exc.value))
+        assert [row_bits(r) for r in rows] == [bits(c) for c in chained]
+        assert orbit_diverged == diverged

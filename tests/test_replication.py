@@ -9,7 +9,6 @@ from cloudalloc.replication import (
     BASE_COEFFS,
     LOSS_METHODS,
     TooFewNodesError,
-    base_polynomial,
     build_placement,
     loss_curve,
     loss_polynomial,
@@ -24,6 +23,22 @@ from cloudalloc.replication import (
 
 def block_members(block):
     return [str(e) for e in block.entries]
+
+
+def slot_table(n):
+    """The (node, half) of every machine id, written out slot by slot:
+    owner block i hosts P_i's halves A and B, S1_{i+1}'s half A and
+    S2_{i+2}'s half B; user block i hosts S1_i's half A, S2_{i+1}'s half B
+    and S1_{i+2}'s half A."""
+    def wrap(i):
+        return (i - 1) % n + 1
+
+    halves = []
+    for i in range(1, n + 1):
+        halves += [(i, "A"), (i, "B"), (wrap(i + 1), "A"), (wrap(i + 2), "B")]
+    for i in range(1, n + 1):
+        halves += [(i, "A"), (wrap(i + 1), "B"), (wrap(i + 2), "A")]
+    return halves
 
 
 def convolution_power(n):
@@ -129,6 +144,12 @@ class TestPlacement:
             assert len(hosts[(node, "A")]) == 4
             assert len(hosts[(node, "B")]) == 3
 
+    def test_halves_follow_the_slot_table(self):
+        for n in range(3, 61):
+            plan = build_placement(n)
+            assert [m.id for m in plan.machines] == list(range(7 * n))
+            assert [m.half for m in plan.machines] == slot_table(n), n
+
     def test_machine_ids_cover_range_once(self):
         plan = build_placement(4)
         ids = [m.id for m in plan.machines]
@@ -152,14 +173,14 @@ class TestPlacement:
 
 class TestBasePolynomial:
     def test_coefficients(self):
-        assert base_polynomial() == (1, 7, 21, 34, 30, 12)
+        assert BASE_COEFFS == (1, 7, 21, 34, 30, 12)
 
     def test_binomial_identities(self):
         assert BASE_COEFFS[2] == math.comb(7, 5) == 21
         assert BASE_COEFFS[4] == math.comb(7, 3) - math.comb(4, 3) - 1 == 30
 
     def test_total_subset_weight(self):
-        assert sum(base_polynomial()) == 105
+        assert sum(BASE_COEFFS) == 105
 
 
 class TestLossPolynomial:
