@@ -414,7 +414,7 @@ def bifurcation_scan(
         raise ValueError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
-    grid = [lo] if points == 1 else list(np.linspace(lo, hi, points))
+    grid = np.linspace(lo, hi, points).tolist()
 
     results = []
     for value in grid:
@@ -424,15 +424,15 @@ def bifurcation_scan(
                 p, s0, transient, samples, lyap_iterations, False
             )
         except DivergenceError as exc:
-            gp = GridPointResult(float(value), (), math.nan, True, exc.stage)
+            gp = GridPointResult(value, (), math.nan, True, exc.stage)
         else:
             gp = GridPointResult(
-                float(value), tuple(v_samples), max(sums) / lyap_iterations, False, None
+                value, tuple(v_samples), max(sums) / lyap_iterations, False, None
             )
         results.append(gp)
     return BifurcationScan(
         swept_parameter=param,
-        grid=tuple(float(g) for g in grid),
+        grid=tuple(grid),
         base_params=base_params,
         points=tuple(results),
     )

@@ -12,7 +12,8 @@ Each scenario mode is a hosting-set family of n quadruples and n triples
 (`_hosting_sets`): the groups, or the hosts of each node's half A and B in
 a PlacementPlan, which shares machines across blocks, so single scenarios
 may disagree (measured, never assumed away).  Monte Carlo and exhaustive
-enumeration test one predicate: some set failed completely."""
+enumeration feed boolean failure blocks, random or enumerated, to one
+predicate (`_lost_rows`): some set failed completely."""
 
 from __future__ import annotations
 
@@ -52,6 +53,12 @@ _SLAB_CELLS = 1 << 16
 # jump of 2**128, so disjoint from the cell words of every chunk.
 _TIE_ADVANCE = 2**127
 _Z95 = 1.96
+# Each worker thread runs one strided share of the chunks, so a pool never
+# holds more tasks than threads; more workers than this are refused.
+_MAX_WORKERS = 64
+# Exhaustive enumeration walks the 2^(7n) scenarios in blocks of
+# 2^_BLOCK_BITS rows; the block size bounds memory, never the result.
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -223,6 +230,17 @@ def _failed_slabs(seed: int, chunk: int, rows: int, machines: int, p: float):
         yield f
 
 
+def _lost_rows(
+    failed: np.ndarray, families: list[list[slice | np.ndarray]]
+) -> np.ndarray:
+    """Per row of a failure block, whether some set of some family failed
+    whole."""
+    lost = _all_failed(failed, families[0])
+    for columns in families[1:]:
+        lost |= _all_failed(failed, columns)
+    return lost.any(axis=1)
+
+
 def _chunk_loss_count(
     seed: int, chunk: int, rows: int, machines: int, p: float,
     families: list[list[slice | np.ndarray]],
@@ -230,10 +248,7 @@ def _chunk_loss_count(
     """Trials of one chunk in which some set of some family failed whole."""
     losses = 0
     for f in _failed_slabs(seed, chunk, rows, machines, p):
-        lost = _all_failed(f, families[0])
-        for columns in families[1:]:
-            lost |= _all_failed(f, columns)
-        losses += int(np.count_nonzero(lost.any(axis=1)))
+        losses += int(np.count_nonzero(_lost_rows(f, families)))
     return losses
 
 
@@ -261,8 +276,9 @@ def mc_estimate(
 
     Each of the 7n machines fails independently with probability p per
     trial.  Trials are deterministic functions of (seed, trial index), so
-    the estimate is identical for any worker count; workers only spread
-    the fixed trial chunks over threads.  half_width_95 is the 95% normal
+    the estimate is identical for any worker count; workers (at most 64)
+    only spread the fixed trial chunks over threads, one strided share of
+    the chunks per thread.  half_width_95 is the 95% normal
     (Wald) half-width; ci95_low and ci95_high are the 95% Wilson score
     interval, which stays open at p_hat 0 and 1.
     """
@@ -272,8 +288,8 @@ def mc_estimate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers must lie in 1..{_MAX_WORKERS}, got {workers}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
@@ -285,11 +301,14 @@ def mc_estimate(
         rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
         return _chunk_loss_count(seed, c, rows, machines, p, families)
 
+    def run_stride(first: int) -> int:
+        return sum(run_chunk(c) for c in range(first, n_chunks, workers))
+
     if workers == 1:
-        losses = sum(run_chunk(c) for c in range(n_chunks))
+        losses = run_stride(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            losses = sum(pool.map(run_chunk, range(n_chunks)))
+            losses = sum(pool.map(run_stride, range(min(workers, n_chunks))))
 
     p_hat = losses / trials
     half_width = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -303,34 +322,36 @@ def mc_estimate(
 def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
     """Exact loss probability by enumerating all 2^(7n) failure scenarios.
 
-    A scenario is lost iff some hosting set failed completely and weighs
-    p^f (1-p)^(7n-f); the per-size loss counts are accumulated once and
-    the final sum is exact (rational).  Cost is exponential -- n <= 3
-    (2^21 scenarios) is the intended desk scale.
+    Scenarios stream in column-major boolean blocks of 2^16 rows: the rows
+    enumerate the failures of the first 16 machines, and each block fixes
+    the rest to the bits of its index.  `_lost_rows`, the Monte Carlo
+    predicate, marks the lost rows; a scenario with f failed machines
+    weighs p^f (1-p)^(7n-f), the per-f loss counts are accumulated once
+    and the final sum is exact (rational).  Cost is exponential -- n <= 4
+    (2^28 scenarios, a few seconds) is the intended desk scale.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > 3:
-        raise ValueError(f"exhaustive enumeration is limited to n <= 3, got {n}")
+    if n > 4:
+        raise ValueError(f"exhaustive enumeration is limited to n <= 4, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    quads, triples = _hosting_sets(n, mode)
+    families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
     m = MACHINES_PER_NODE * n
-    masks = np.arange(1 << m, dtype=np.uint32)
-    lost = np.zeros(masks.shape, dtype=bool)
-    hit = np.empty_like(masks)
-    for hosts in (*quads, *triples):
-        hm = np.uint32(sum(1 << int(machine) for machine in hosts))
-        np.bitwise_and(masks, hm, out=hit)
-        lost |= hit == hm
-
-    # popcount via 16-bit halves (numpy 1.x has no bitwise_count)
-    pop16 = np.zeros(1 << 16, dtype=np.uint8)
-    for bit in range(16):
-        pop16[1 << bit : 2 << bit] = pop16[: 1 << bit] + 1
-    lost_masks = masks[lost]
-    fails = pop16[lost_masks & 0xFFFF] + pop16[lost_masks >> 16]
-    counts = np.bincount(fails, minlength=m + 1)
+    low = min(_BLOCK_BITS, m)
+    rows = np.arange(1 << low)
+    failed = np.empty((1 << low, m), dtype=bool, order="F")
+    for j in range(low):
+        failed[:, j] = rows >> j & 1
+    low_fails = failed[:, :low].sum(axis=1)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for block in range(1 << (m - low)):
+        for j in range(low, m):
+            failed[:, j] = block >> (j - low) & 1
+        high_fails = block.bit_count()
+        counts += np.bincount(
+            low_fails[_lost_rows(failed, families)] + high_fails, minlength=m + 1
+        )
 
     fp = Fraction(p)
     total = sum(

@@ -321,6 +321,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"usage error: seed must lie in [0, 2**128), got {seed}\n" == captured.err
 
+    @pytest.mark.parametrize("workers", ["0", "65"])
+    def test_loss_mc_worker_bound(self, workers, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli.failsim, "ThreadPoolExecutor", no_pool)
+        argv = ["loss-mc", "--nodes", "3", "--p", "0.1", "--trials", "100",
+                "--workers", workers]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: workers must lie in 1..64, got {workers}\n" == captured.err
+
     def test_stage_before_the_initial_stage(self, capsys):
         assert run(
             ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",

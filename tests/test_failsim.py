@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import Executor, Future
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudalloc import failsim
 from cloudalloc.failsim import (
     _SLAB_CELLS,
     SCENARIO_MODES,
@@ -243,6 +245,38 @@ class TestMcEstimate:
             with pytest.raises(ValueError, match=message):
                 mc_estimate(5, 0.5, 100, seed=seed)
 
+    def test_workers_above_the_bound_are_refused_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(failsim, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=r"workers must lie in 1\.\.64, got 65"):
+            mc_estimate(5, 0.5, 100, workers=65)
+
+    @pytest.mark.parametrize("workers, chunks, tasks", [(3, 100, 3), (3, 2, 2), (64, 1, 1)])
+    def test_one_strided_task_per_worker(self, workers, chunks, tasks, monkeypatch):
+        pools = []
+
+        class InlineExecutor(Executor):
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.tasks = []
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.tasks.append(args)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(failsim, "ThreadPoolExecutor", InlineExecutor)
+        trials = (chunks - 1) * 4096 + 5
+        est = mc_estimate(3, 0.3, trials, seed=4, workers=workers)
+        [pool] = pools
+        assert pool.max_workers == workers
+        assert pool.tasks == [(w,) for w in range(tasks)]
+        assert est == mc_estimate(3, 0.3, trials, seed=4, workers=1)
+
 
 def _whole_block_cells(seed, chunk, rows, n):
     """A chunk's 16-bit cells as one (rows, 7n) block: the uint16 view of
@@ -399,8 +433,42 @@ class TestExhaustive:
             structural = exhaustive_loss_probability(3, p, "structural")
             assert group == structural
 
+    @pytest.mark.parametrize("mode", SCENARIO_MODES)
+    def test_four_nodes_match_both_exact_routes(self, mode):
+        # n = 4 is the first n whose placement blocks do not each hold
+        # every node
+        got = exhaustive_loss_probability(4, 0.3, mode)
+        assert got == prob_data_loss(4, 0.3, "closed-form").p_loss
+        assert got == prob_data_loss(4, 0.3, "exact-bigint").p_loss
+
+    @pytest.mark.parametrize("bits", [3, 7, None])
+    def test_block_size_never_changes_the_result(self, bits, monkeypatch):
+        # 3-bit blocks are left out at n = 3: 2^18 blocks take about 10 s
+        cases = [(1, "group"), (2, "group"), (3, "group"), (3, "structural")]
+        if bits == 3:
+            cases = cases[:2]
+        ps = (0.203, 0.5)
+        want = {(n, mode, p): exhaustive_loss_probability(n, p, mode)
+                for n, mode in cases for p in ps}
+        for n, mode in cases:
+            # None: one block holds every scenario
+            monkeypatch.setattr(failsim, "_BLOCK_BITS", 7 * n if bits is None else bits)
+            for p in ps:
+                assert exhaustive_loss_probability(n, p, mode) == want[(n, mode, p)]
+
+    @pytest.mark.parametrize("mode", SCENARIO_MODES)
+    def test_memory_is_bounded_by_the_block(self, mode):
+        # all 2^21 scenarios as uint32 masks would be 8 MiB alone
+        tracemalloc.start()
+        try:
+            exhaustive_loss_probability(3, 0.3, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            exhaustive_loss_probability(4, 0.1)
+            exhaustive_loss_probability(5, 0.1)
         with pytest.raises(ValueError):
             exhaustive_loss_probability(3, 0.1, "psychic")
