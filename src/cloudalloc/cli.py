@@ -36,13 +36,12 @@ OUTDIR_ENV = "CLOUDALLOC_OUTDIR"
 _ROWS_PER_BLOCK = 1024
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    """Raises ValueError, which `run` reports as a usage error, instead of
+    exiting the process."""
+
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -161,7 +160,7 @@ def _state(args) -> SystemState:
     for flag in ("v0", "x1", "x2"):
         value = getattr(args, flag)
         if not math.isfinite(value):
-            raise UsageError(f"--{flag} must be finite, got {value}")
+            raise ValueError(f"--{flag} must be finite, got {value}")
     return SystemState(l=0, v_c=args.v0, x=(args.x1, args.x2))
 
 
@@ -169,7 +168,7 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _seed_list(text: str) -> list[tuple[float, float, float]]:
@@ -180,7 +179,7 @@ def _seed_list(text: str) -> list[tuple[float, float, float]]:
             continue
         comps = [float(tok) for tok in part.split(",")]
         if len(comps) != 3:
-            raise UsageError(f"each seed needs 3 components, got {part!r}")
+            raise ValueError(f"each seed needs 3 components, got {part!r}")
         seeds.append(tuple(comps))
     return seeds
 
@@ -198,17 +197,12 @@ def _cmd_iterate(args):
 
 def _cmd_fixed_points(args):
     params = _params(args)
-    claimed = report.claimed_second_fixed_point(args.alpha, args.xi1, args.xi2)
-    seeds = _seed_list(args.seeds) if args.seeds else [(0.0, 0.0, 0.0), claimed]
+    claimed = report.claimed_point(params)
+    seeds = _seed_list(args.seeds) if args.seeds else [(0.0, 0.0, 0.0), claimed["point"]]
     results = dynamics.find_fixed_points(params, seeds)
-    claimed_residual = dynamics.map_residual(params, claimed)
     result = {
         "search": [{"seed": seed, **dataclasses.asdict(r)} for seed, r in zip(seeds, results)],
-        "claimed_point": {
-            "point": list(claimed),
-            "residual_vector": [float(c) for c in claimed_residual],
-            "residual": float(max(abs(c) for c in claimed_residual)),
-        },
+        "claimed_point": claimed,
     }
     return _json_document(_config_dict(args), result)
 
@@ -256,7 +250,7 @@ def _cmd_bifurcate(args):
 
 def _cmd_storage_report(args):
     if not (math.isfinite(args.unit_scale) and args.unit_scale > 0):
-        raise UsageError(f"--unit-scale must be finite and > 0, got {args.unit_scale}")
+        raise ValueError(f"--unit-scale must be finite and > 0, got {args.unit_scale}")
     params = _params(args)
     records = ledger.allocation_report(
         params, _state(args), _int_list(args.stages), unit_scale=args.unit_scale
@@ -435,9 +429,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         _emit(args._fn(args), args.out)
         return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2

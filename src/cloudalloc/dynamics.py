@@ -77,7 +77,8 @@ class FixedPointResult:
     iterations: int
 
 
-def _fd_jacobian(params: ModelParams, point: np.ndarray, h: float = 1e-7) -> np.ndarray:
+def _fd_jacobian(params: ModelParams, point: np.ndarray) -> np.ndarray:
+    h = 1e-7
     cols = []
     for j in range(3):
         e = np.zeros(3)
@@ -86,17 +87,19 @@ def _fd_jacobian(params: ModelParams, point: np.ndarray, h: float = 1e-7) -> np.
     return np.column_stack(cols)
 
 
+# max-norm residual below which a Newton iterate counts as a fixed point
+_NEWTON_TOL = 1e-12
+
+
 # An overflowing seed gives inf/nan residuals; the search reports it as
 # non-converged, with a non-finite residual, instead of leaking numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def find_fixed_points(
-    params: ModelParams,
-    seeds,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    params: ModelParams, seeds, max_iter: int = 200
 ) -> list[FixedPointResult]:
     """Damped Newton search for roots of F(X) - X from each seed.
 
+    A seed converges once the max-norm residual drops below 1e-12.
     Non-converged seeds are returned with converged=False (their best
     point and residual attached), never dropped.  The Newton matrix uses
     a central finite-difference Jacobian so the search is independent of
@@ -114,7 +117,7 @@ def find_fixed_points(
         iterations = 0
         for iterations in range(1, max_iter + 1):
             norm = float(np.max(np.abs(g)))
-            if norm < tol:
+            if norm < _NEWTON_TOL:
                 converged = True
                 break
             jac = _fd_jacobian(params, x) - np.eye(3)
@@ -135,10 +138,8 @@ def find_fixed_points(
                 lam *= 0.5
             if not improved:
                 break
-        else:
-            iterations = max_iter
         norm = float(np.max(np.abs(g)))
-        if norm < tol:
+        if norm < _NEWTON_TOL:
             converged = True
         results.append(
             FixedPointResult(
@@ -346,7 +347,7 @@ def classify_attractor(
     zero_band sets how close to zero still counts as 'zero'; there is no
     canonical threshold, 0.01 nats/iteration is the working default.
     """
-    if zero_band <= 0.0:
+    if not zero_band > 0.0:
         raise ValueError(f"zero_band must be > 0, got {zero_band}")
     top = spectrum.largest
     if top > zero_band:
@@ -370,10 +371,7 @@ class GridPointResult:
 
 @dataclass(frozen=True)
 class BifurcationScan:
-    swept_parameter: str
-    grid: tuple[float, ...]
-    base_params: ModelParams
-    points: tuple[GridPointResult, ...]
+    points: tuple[GridPointResult, ...]   # one per grid value, in grid order
 
 
 def _with_swept(base: ModelParams, name: str, value: float) -> ModelParams:
@@ -414,10 +412,8 @@ def bifurcation_scan(
         raise ValueError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, points).tolist()
-
     results = []
-    for value in grid:
+    for value in np.linspace(lo, hi, points).tolist():
         p = _with_swept(base_params, param, value)
         try:
             v_samples, sums, _ = _tangent_orbit(
@@ -430,9 +426,4 @@ def bifurcation_scan(
                 value, tuple(v_samples), max(sums) / lyap_iterations, False, None
             )
         results.append(gp)
-    return BifurcationScan(
-        swept_parameter=param,
-        grid=tuple(grid),
-        base_params=base_params,
-        points=tuple(results),
-    )
+    return BifurcationScan(points=tuple(results))

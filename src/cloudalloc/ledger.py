@@ -55,15 +55,15 @@ def allocation_report(
     """Iterate the two-user map once from s0 and sample allocations at the
     requested stages.
 
-    `stages` must be sorted ascending and lie at or after s0's stage;
-    `unit_scale` is bytes per model unit.  Divergence surfaces as
+    `stages` must be nonempty, sorted ascending and lie at or after s0's
+    stage; `unit_scale` is bytes per model unit.  Divergence surfaces as
     DivergenceError from the raw orbit.
     """
     stages = list(stages)
+    if not stages:
+        raise ValueError("stages must be nonempty")
     if any(b <= a for a, b in zip(stages, stages[1:])):
         raise ValueError(f"stages must be strictly ascending, got {stages}")
-    if not stages:
-        return []
     if stages[0] < s0.l:
         raise OutOfRangeError(f"stage {stages[0]} precedes the initial stage {s0.l}")
 

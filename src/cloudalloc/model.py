@@ -69,10 +69,6 @@ class ModelParams:
         return cls(alpha=alpha, xi=(xi1, xi2))
 
     @property
-    def n_users(self) -> int:
-        return len(self.xi)
-
-    @property
     def xi1(self) -> float:
         self._require_two_user()
         return self.xi[0]
@@ -136,9 +132,9 @@ def step_general(params: ModelParams, s: SystemState) -> SystemState:
     v'   = alpha*v - sum_i (-1)^i xi_i x_i
     x_i' = (-1)^i xi_i x_i v - sum_{j != i} (-1)^j xi_j x_j
     """
-    if len(s.x) != params.n_users:
+    if len(s.x) != len(params.xi):
         raise ValueError(
-            f"state has {len(s.x)} demand components but params define {params.n_users} users"
+            f"state has {len(s.x)} demand components but params define {len(params.xi)} users"
         )
     # signed terms t_i = ((-1)^i xi_i) * x_i, users indexed from 1
     terms = []

@@ -71,8 +71,6 @@ class ReplicaLabel:
 @dataclass(frozen=True)
 class Machine:
     id: int
-    rack: str           # "owner" or "user"
-    block_index: int    # 1-based
     half: tuple[int, str]  # the one (node, half) it hosts; half in {"A", "B"}
 
 
@@ -142,7 +140,7 @@ def build_placement(n: int) -> PlacementPlan:
     # owner ids precede user ids and rise within each rack, so this is
     # already the id order
     machines = tuple(
-        Machine(machine_id, b.rack, b.index, half)
+        Machine(machine_id, half)
         for b in owner_blocks + user_blocks
         for machine_id, half in zip(
             b.machine_ids,

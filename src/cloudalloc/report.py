@@ -12,7 +12,6 @@ is reconciled by fiat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,29 +48,34 @@ REFERENCE_ALLOCATION_TABLE = {
 CLAIMED_POINT_PARAMS = (0.6, 1.25, 1.28)
 
 
-def claimed_second_fixed_point(alpha: float, xi1: float, xi2: float) -> tuple[float, float, float]:
-    return (1.0, -alpha / (2.0 * xi1), alpha / (2.0 * xi2))
-
-
-@dataclass(frozen=True)
-class HopfCounterexample:
-    xi1: float
-    xi2: float
-    alpha: float
+def claimed_point(params: ModelParams) -> dict:
+    """The claimed non-origin fixed point (1, -alpha/(2 xi1), alpha/(2 xi2))
+    with its residual F(X) - X and that residual's max-norm.  Raises
+    SingularParametersError when xi1 or xi2 is zero, where the point has
+    no finite value."""
+    alpha, xi1, xi2 = params.alpha, params.xi1, params.xi2
+    for name, xi in (("xi1", xi1), ("xi2", xi2)):
+        if xi == 0.0:
+            raise dynamics.SingularParametersError(
+                f"the claimed fixed point is undefined for {name} = {xi}"
+            )
+    point = (1.0, -alpha / (2.0 * xi1), alpha / (2.0 * xi2))
+    residual = dynamics.map_residual(params, point).tolist()
+    return {
+        "point": list(point),
+        "residual_vector": residual,
+        "residual": max(map(abs, residual)),
+    }
 
 
 def fixed_point_section() -> dict:
     alpha, xi1, xi2 = CLAIMED_POINT_PARAMS
     params = ModelParams.two_user(alpha, xi1, xi2)
     origin = dynamics.map_residual(params, (0.0, 0.0, 0.0))
-    point = claimed_second_fixed_point(alpha, xi1, xi2)
-    residual = dynamics.map_residual(params, point)
     return {
         "params": {"alpha": alpha, "xi1": xi1, "xi2": xi2},
         "origin_residual": float(np.max(np.abs(origin))),
-        "claimed_point": list(point),
-        "claimed_point_residual_vector": [float(r) for r in residual],
-        "claimed_point_residual": float(np.max(np.abs(residual))),
+        "claimed_point": claimed_point(params),
     }
 
 
@@ -103,9 +107,15 @@ def routh_region_section() -> dict:
     }
 
 
-def hopf_section(step: float = 0.01, limit: int = 10) -> dict:
+# the xi grid of the Hopf search: step and the number of examples quoted
+_HOPF_GRID_STEP = 0.01
+_HOPF_EXAMPLES = 10
+
+
+def hopf_section() -> dict:
     """Search the xi grid for Hopf alphas inside (0, 1], contradicting the
     blanket claim that the condition always needs |alpha| > 1."""
+    step = _HOPF_GRID_STEP
     values = [round(k * step, 10) for k in range(1, int(2.0 / step) + 1)]
     examples = []
     count = 0
@@ -116,33 +126,30 @@ def hopf_section(step: float = 0.01, limit: int = 10) -> dict:
             a = dynamics.hopf_alpha(x1, x2)
             if 0.0 < a <= 1.0:
                 count += 1
-                if len(examples) < limit:
-                    examples.append(HopfCounterexample(x1, x2, a))
+                if len(examples) < _HOPF_EXAMPLES:
+                    examples.append({"xi1": x1, "xi2": x2, "alpha": a})
     return {
         "grid_step": step,
         "grid_max": 2.0,
         "counterexample_count": count,
-        "examples": [
-            {"xi1": e.xi1, "xi2": e.xi2, "alpha": e.alpha} for e in examples
-        ],
+        "examples": examples,
     }
 
 
 def loss_table_section() -> dict:
-    rows = []
-    for n, reference in sorted(REFERENCE_LOSS_TABLE.items()):
-        exact = replication.prob_data_loss(n, 0.01, "exact-bigint").p_loss
-        closed = replication.prob_data_loss(n, 0.01, "closed-form").p_loss
-        rows.append(
-            {
-                "n": n,
-                "machines": 7 * n,
-                "reference": reference,
-                "exact": exact,
-                "closed_form": closed,
-                "ratio_exact_to_reference": exact / reference,
-            }
-        )
+    """The quoted loss table beside `loss_curve`'s rows at p = 0.01."""
+    curve = replication.loss_curve(sorted(REFERENCE_LOSS_TABLE), 0.01)
+    rows = [
+        {
+            "n": row.n,
+            "machines": 7 * row.n,
+            "reference": REFERENCE_LOSS_TABLE[row.n],
+            "exact": row.p_loss_exact,
+            "closed_form": row.p_loss_closed_form,
+            "ratio_exact_to_reference": row.p_loss_exact / REFERENCE_LOSS_TABLE[row.n],
+        }
+        for row in curve
+    ]
     return {"p": 0.01, "rows": rows}
 
 
@@ -178,7 +185,7 @@ def allocation_section() -> dict:
     }
 
 
-def structural_section(mc_trials: int = 200_000, seed: int = 42) -> dict:
+def structural_section(mc_trials: int, seed: int) -> dict:
     """Measured comparison of the independent-group loss model against the
     structural placement mapping.
 
@@ -207,7 +214,7 @@ def structural_section(mc_trials: int = 200_000, seed: int = 42) -> dict:
     return {"trials": mc_trials, "seed": seed, "rows": rows}
 
 
-def build_discrepancy_report(mc_trials: int = 200_000, seed: int = 42) -> dict:
+def build_discrepancy_report(mc_trials: int, seed: int) -> dict:
     return {
         "fixed_points": fixed_point_section(),
         "routh_region": routh_region_section(),
@@ -240,10 +247,11 @@ def render_discrepancy_markdown(data: dict) -> str:
     w(f"Parameters: alpha={pr['alpha']}, xi1={pr['xi1']}, xi2={pr['xi2']}")
     w("")
     w(f"- origin residual (max-norm): {fp['origin_residual']:.3e}")
-    cp = ", ".join(f"{c:.6g}" for c in fp["claimed_point"])
+    claimed = fp["claimed_point"]
+    cp = ", ".join(f"{c:.6g}" for c in claimed["point"])
     w(f"- claimed second fixed point ({cp}):")
-    rv = ", ".join(f"{c:.6g}" for c in fp["claimed_point_residual_vector"])
-    w(f"  residual vector ({rv}), max-norm {fp['claimed_point_residual']:.6g}")
+    rv = ", ".join(f"{c:.6g}" for c in claimed["residual_vector"])
+    w(f"  residual vector ({rv}), max-norm {claimed['residual']:.6g}")
     w("  -> the claimed point does not satisfy the map (the capacity")
     w("     component is sent from 1 to 0); it is not a fixed point.")
     w("")

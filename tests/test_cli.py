@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import shlex
@@ -12,6 +14,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cloudalloc
 from cloudalloc import cli
@@ -334,6 +338,40 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"usage error: workers must lie in 1..64, got {workers}\n" == captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["storage-report", "--stages", "1,x"],
+             "expected a comma-separated integer list, got '1,x'"),
+            (["storage-report", "--stages", ","], "stages must be nonempty"),
+            (["fixed-points", "--seeds", "1,2"], "each seed needs 3 components, got '1,2'"),
+            (["lyapunov", "--iters", "1000", "--zero-band", "nan"],
+             "zero_band must be > 0, got nan"),
+        ],
+        ids=["int-list-token", "empty-stages", "seed-arity", "nan-zero-band"],
+    )
+    def test_refused_arguments(self, argv, message, capsys):
+        params = ["--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23"]
+        assert run(argv[:1] + params + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("zero", ["0.0", "-0.0"])
+    @pytest.mark.parametrize("flag", ["--xi1", "--xi2"])
+    def test_fixed_points_refuses_a_zero_xi(self, flag, zero, tmp_path, capsys):
+        xi = {"--xi1": "0.5", "--xi2": "0.6", flag: zero}
+        target = tmp_path / "fp.json"
+        argv = ["fixed-points", "--alpha", "0.6", *itertools.chain(*xi.items()),
+                "--out", str(target)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: the claimed fixed point is undefined for {flag[2:]} = {zero}\n"
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_stage_before_the_initial_stage(self, capsys):
         assert run(
             ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
@@ -368,6 +406,71 @@ class TestUsageErrors:
             ["verify-coefficients", "--out", "/nonexistent-dir/x/y.json"]
         )
         assert rc == 3
+
+
+# Values for every float flag of the fuzzed argv: signed zeros, ordinary and
+# extreme magnitudes, a subnormal, the infinities and NaN.
+_FLOATS = st.sampled_from(
+    ["0", "-0.0", "0.01", "0.5", "1", "2", "-1", "1e300", "1e-320", "inf", "-inf", "nan"]
+)
+_SMALL_INTS = st.integers(-2, 6).map(str)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"--{name}", v])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _argv(command, *flags):
+    """`command` followed by one drawn fragment of each flag strategy."""
+    return st.tuples(*flags).map(lambda parts: [command, *itertools.chain(*parts)])
+
+
+_MODEL = [_flag(name, _FLOATS) for name in ("alpha", "xi1", "xi2")]
+_STATE = [_maybe(name, _FLOATS) for name in ("v0", "x1", "x2")]
+_INT_LIST = st.lists(st.integers(-2, 40).map(str), max_size=4).map(",".join)
+_SEEDS = st.lists(
+    st.lists(_FLOATS, min_size=2, max_size=4).map(",".join), max_size=3
+).map(";".join)
+
+# Every computing command, kept small: at most 50 steps, 1500 Lyapunov
+# iterations, 2 grid points, 40 stages, 6 nodes, 3000 trials and 2 workers.
+FUZZ_ARGV = st.one_of(
+    _argv("iterate", *_MODEL, *_STATE, _flag("steps", st.integers(-1, 50).map(str)),
+          _maybe("transient", _SMALL_INTS), _maybe("format", st.sampled_from(["csv", "json"]))),
+    _argv("fixed-points", *_MODEL, _maybe("seeds", _SEEDS)),
+    _argv("lyapunov", *_MODEL, *_STATE, _flag("iters", st.integers(999, 1500).map(str)),
+          _maybe("zero-band", _FLOATS), _maybe("format", st.sampled_from(["json", "csv"]))),
+    _argv("bifurcate", *_MODEL, *_STATE, _flag("param", st.sampled_from(["alpha", "xi1", "xi2"])),
+          _flag("lo", _FLOATS), _flag("hi", _FLOATS), _flag("points", st.integers(-1, 2).map(str)),
+          _flag("lyap-iters", st.sampled_from(["999", "1000"])),
+          _maybe("transient", _SMALL_INTS), _maybe("samples", _SMALL_INTS)),
+    _argv("storage-report", *_MODEL, *_STATE, _flag("stages", _INT_LIST),
+          _maybe("unit-scale", _FLOATS)),
+    _argv("placement", _flag("nodes", _SMALL_INTS),
+          _maybe("format", st.sampled_from(["text", "json"]))),
+    _argv("loss-exact", _flag("nodes", _SMALL_INTS), _flag("p", _FLOATS)),
+    _argv("loss-curve", _flag("nodes-list", st.lists(_SMALL_INTS, max_size=3).map(",".join)),
+          _flag("p", _FLOATS)),
+    _argv("loss-mc", _flag("nodes", _SMALL_INTS), _flag("p", _FLOATS),
+          _maybe("trials", st.integers(-1, 3000).map(str)), _maybe("seed", _SMALL_INTS),
+          _maybe("mode", st.sampled_from(["group", "structural"])),
+          _maybe("workers", st.sampled_from(["0", "1", "2"]))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=FUZZ_ARGV)
+@example(argv=["fixed-points", "--alpha", "0.6", "--xi1", "0", "--xi2", "1.2"])
+def test_no_argv_escapes_run(argv):
+    """Whatever the argv, `run` answers with an exit code and raises nothing."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(argv) in (0, 1, 2), argv
 
 
 # One argv per CSV command; the bifurcate sweep has divergent points.

@@ -326,8 +326,9 @@ class TestClassifyAttractor:
         assert classify_attractor(spec) is AttractorClass.CHAOTIC
 
     def test_zero_band_must_be_positive(self):
-        with pytest.raises(ValueError):
-            classify_attractor(self.spectrum((0.0, -1.0, -2.0)), zero_band=0.0)
+        for zero_band in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                classify_attractor(self.spectrum((0.0, -1.0, -2.0)), zero_band=zero_band)
 
 
 class TestBifurcationScan:
@@ -337,7 +338,8 @@ class TestBifurcationScan:
             base, "alpha", 0.3, 0.9, 7, S0, transient=200, samples=10, lyap_iterations=1000
         )
         assert len(scan.points) == 7
-        assert list(scan.grid) == sorted(scan.grid)
+        grid = [gp.value for gp in scan.points]
+        assert grid == sorted(grid)
         for gp in scan.points:
             if not gp.divergent:
                 assert len(gp.v_samples) == 10
@@ -349,7 +351,7 @@ class TestBifurcationScan:
             base, "alpha", 0.6, 0.7, 1, S0, transient=100, samples=5, lyap_iterations=1000
         )
         assert len(scan.points) == 1
-        assert scan.grid == (0.6,)
+        assert [gp.value for gp in scan.points] == [0.6]
         gp = scan.points[0]
         # replicate the pipeline by hand at alpha=0.6
         p = params(0.6, 1.28, 1.23)

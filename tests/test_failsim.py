@@ -85,9 +85,7 @@ class TestScenarioLoss:
     def test_both_primary_machines_alone_survive_structurally(self):
         plan = build_placement(3)
         primaries = [
-            m.id
-            for m in plan.machines
-            if m.rack == "owner" and m.block_index == 1 and m.half[0] == 1
+            i for i in plan.owner_blocks[0].machine_ids if plan.machines[i].half[0] == 1
         ]
         assert len(primaries) == 2
         s = FailureScenario(n=3, failed=frozenset(primaries))
@@ -472,3 +470,8 @@ class TestExhaustive:
             exhaustive_loss_probability(5, 0.1)
         with pytest.raises(ValueError):
             exhaustive_loss_probability(3, 0.1, "psychic")
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            exhaustive_loss_probability(0, 0.1)
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="p must lie in"):
+                exhaustive_loss_probability(2, p)

@@ -64,6 +64,8 @@ class TestAllocationReport:
         p = ModelParams.two_user(0.6, 1.25, 1.28)
         with pytest.raises(ValueError):
             allocation_report(p, state(1.0, (0.0, 0.0)), [5, 2], 1.0)
+        with pytest.raises(ValueError, match="stages must be nonempty"):
+            allocation_report(p, state(1.0, (0.0, 0.0)), [], 1.0)
         with pytest.raises(OutOfRangeError):
             allocation_report(p, state(1.0, (0.0, 0.0), l=3), [1], 1.0)
 

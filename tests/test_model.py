@@ -93,6 +93,12 @@ class TestStepGeneral:
         p = ModelParams(alpha=0.5, xi=(1.0, 1.0))
         with pytest.raises(ValueError):
             step_general(p, state(1.0, (0.5,)))
+        with pytest.raises(ValueError, match="2-demand state, got 3"):
+            step_two_user(p, state(1.0, (0.5, 0.25, 0.1)))
+
+    def test_negative_stage_is_refused(self):
+        with pytest.raises(ValueError, match="stage index must be >= 0, got -1"):
+            state(1.0, (0.5, 0.25), l=-1)
 
     def test_input_state_unchanged(self):
         p = ModelParams(alpha=0.5, xi=(1.0, 1.0))

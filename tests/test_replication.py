@@ -228,6 +228,10 @@ class TestProbNoLoss:
             prob_no_loss(3, 22)
         with pytest.raises(ValueError):
             prob_no_loss(3, -1)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            prob_no_loss(0, 0)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            loss_polynomial(0)
 
 
 class TestProbFFailures:
@@ -237,6 +241,15 @@ class TestProbFFailures:
 
     def test_all_fail_binomial_term(self):
         assert prob_f_failures(3, 0, 0.5) == pytest.approx(0.5**21)
+
+    @pytest.mark.parametrize(
+        "f, p, message",
+        [(0, 1.5, "p must lie in"), (0, math.nan, "p must lie in"),
+         (22, 0.1, "f must lie in"), (-1, 0.1, "f must lie in")],
+    )
+    def test_range_validation(self, f, p, message):
+        with pytest.raises(ValueError, match=message):
+            prob_f_failures(3, f, p)
 
     def test_sums_to_one(self):
         total = sum(prob_f_failures(4, f, 0.3) for f in range(29))
@@ -318,6 +331,14 @@ class TestProbDataLoss:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             prob_data_loss(3, 0.1, "guesswork")
+
+    @pytest.mark.parametrize(
+        "n, p, message",
+        [(0, 0.1, "n must be >= 1, got 0"), (3, math.nan, r"p must lie in \[0, 1\], got nan")],
+    )
+    def test_range_validation(self, n, p, message):
+        with pytest.raises(ValueError, match=message):
+            prob_data_loss(n, p)
 
     def test_closed_form_value_small_p(self):
         # 1 - (1 - p^3 - p^4 + p^7)^n by independent groups; p enters as the
