@@ -209,6 +209,7 @@ def _cmd_fixed_points(args):
 
 def _cmd_lyapunov(args):
     params = _params(args)
+    dynamics._check_zero_band(args.zero_band)
     spec = dynamics.lyapunov_spectrum(params, _state(args), iterations=args.iters)
     attractor = dynamics.classify_attractor(spec, zero_band=args.zero_band)
     config = _config_dict(args)

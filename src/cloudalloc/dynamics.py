@@ -339,6 +339,13 @@ def lyapunov_spectrum(
     )
 
 
+def _check_zero_band(zero_band: float) -> None:
+    """The band of `classify_attractor` must be > 0; NaN is refused, inf is
+    allowed.  `cli lyapunov` checks it before computing the spectrum."""
+    if not zero_band > 0.0:
+        raise ValueError(f"zero_band must be > 0, got {zero_band}")
+
+
 def classify_attractor(
     spectrum: LyapunovSpectrum, zero_band: float = 0.01
 ) -> AttractorClass:
@@ -347,8 +354,7 @@ def classify_attractor(
     zero_band sets how close to zero still counts as 'zero'; there is no
     canonical threshold, 0.01 nats/iteration is the working default.
     """
-    if not zero_band > 0.0:
-        raise ValueError(f"zero_band must be > 0, got {zero_band}")
+    _check_zero_band(zero_band)
     top = spectrum.largest
     if top > zero_band:
         return AttractorClass.CHAOTIC

@@ -357,6 +357,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("band", ["0", "-0.5", "nan"])
+    def test_zero_band_refused_before_the_spectrum(self, band, capsys, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("the spectrum was computed")
+
+        monkeypatch.setattr(cli.dynamics, "lyapunov_spectrum", no_spectrum)
+        argv = ["lyapunov", "--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23",
+                "--zero-band", band]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: zero_band must be > 0, got {float(band)}\n"
+
     @pytest.mark.parametrize("zero", ["0.0", "-0.0"])
     @pytest.mark.parametrize("flag", ["--xi1", "--xi2"])
     def test_fixed_points_refuses_a_zero_xi(self, flag, zero, tmp_path, capsys):

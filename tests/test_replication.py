@@ -306,6 +306,34 @@ class TestProbDataLoss:
                 assert res.per_f_terms == want, (n, p)
                 assert res.p_loss == math.fsum(t for _, t in want), (n, p)
 
+    # n = 1..12 gives weight lists of every length 5..82, odd and even
+    @pytest.mark.parametrize("n", [*range(1, 13), 57, 100, 199, 200, 400])
+    def test_exact_equals_closed_form_bitwise(self, n):
+        for p in (0.0, 1.0, 0.01, 0.0103, 1 / 3, 1 - 2**-53):
+            got = prob_data_loss(n, p, "exact-bigint").p_loss
+            assert got == prob_data_loss(n, p, "closed-form").p_loss, (n, p)
+
+    @pytest.mark.parametrize("p", [1e-300, 5e-324])
+    def test_exact_equals_closed_form_bitwise_tiny_p(self, p):
+        got = prob_data_loss(200, p, "exact-bigint").p_loss
+        assert got == prob_data_loss(200, p, "closed-form").p_loss
+
+    def test_exact_terms_match_direct_formula(self):
+        for n in (1, 3, 10, 57):
+            m = 7 * n
+            coeffs = convolution_power(n)
+            # at p = 1e-300 the n = 57 terms alone take about 2 s
+            for p in (0.0103, 1 / 3, 0.9, 1.0) + ((1e-300,) if n <= 10 else ()):
+                fp = Fraction(p)
+                a, d = fp.numerator, fp.denominator
+                want = []
+                for f in range(3, m + 1):
+                    weight = math.comb(m, f) - (coeffs[f] if f <= 5 * n else 0)
+                    if weight:
+                        want.append((f, weight * a**f * (d - a) ** (m - f) / d**m))
+                res = prob_data_loss(n, p, "exact-bigint", want_terms=True)
+                assert res.per_f_terms == tuple(want), (n, p)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 80),
