@@ -215,7 +215,6 @@ def prob_f_failures(n: int, f: int, p: float) -> float:
 @dataclass(frozen=True)
 class LossResult:
     p_loss: float
-    per_f_terms: tuple[tuple[int, float], ...] | None = None
 
 
 def _check_exact_bigint_budget(n: int) -> None:
@@ -251,7 +250,7 @@ def _split_sum(weights, a: int, b: int, length: int) -> tuple[int, int, int]:
     return t_left * b_right + a_left * t_right, a_left * a_right, b_left * b_right
 
 
-def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
+def _exact_loss(n: int, p: float) -> LossResult:
     # Work over the common denominator d^(7n) with p = a/d exactly, so the
     # whole double sum stays in integer arithmetic until the final division:
     # S = sum_{f=3..7n} w_f a^(f-3) b^(7n-f) by binary splitting, then
@@ -260,33 +259,23 @@ def _exact_loss(n: int, p: float, want_terms: bool) -> LossResult:
     m = MACHINES_PER_NODE * n
     fp = Fraction(p)
     a, d = fp.numerator, fp.denominator
-    b = d - a
-    total, _, _ = _split_sum(_loss_weights(n), a, b, m - 2)
-    denom = d**m
-    terms = None
-    if want_terms:
-        terms = tuple(
-            (f, w * a**f * b ** (m - f) / denom)
-            for f, w in enumerate(_loss_weights(n), start=3)
-            if w
-        )
-    return LossResult(p_loss=total * a**3 / denom, per_f_terms=terms)
+    total, _, _ = _split_sum(_loss_weights(n), a, d - a, m - 2)
+    return LossResult(p_loss=total * a**3 / d**m)
 
 
-def _log_domain_loss(n: int, p: float, want_terms: bool) -> LossResult:
-    m = MACHINES_PER_NODE * n
+def _log_domain_loss(n: int, p: float) -> LossResult:
+    # floats, not p itself: an int p passes validation
     if p == 0.0:
-        return LossResult(0.0, () if want_terms else None)
+        return LossResult(0.0)
     if p == 1.0:
-        per = ((m, 1.0),) if want_terms else None
-        return LossResult(1.0, per)
+        return LossResult(1.0)
+    m = MACHINES_PER_NODE * n
     coeffs = loss_polynomial(n)
     log_p = math.log(p)
     log_q = math.log1p(-p)
     lg_m1 = math.lgamma(m + 1)
 
-    logs = []
-    fs = []
+    terms = []
     comb = math.comb(m, 3)  # C(m, f), stepped up with f
     for f in range(3, m + 1):
         c_f = coeffs[f] if f <= 5 * n else 0
@@ -295,14 +284,9 @@ def _log_domain_loss(n: int, p: float, want_terms: bool) -> LossResult:
             log_binom = lg_m1 - math.lgamma(f + 1) - math.lgamma(m - f + 1)
             # int true division rounds the exact ratio (C - c)/C once
             log_weight = math.log(weight / comb)
-            logs.append(log_binom + log_weight + f * log_p + (m - f) * log_q)
-            fs.append(f)
+            terms.append(math.exp(log_binom + log_weight + f * log_p + (m - f) * log_q))
         comb = comb * (m - f) // (f + 1)
-    terms = [(f, math.exp(lg)) for f, lg in zip(fs, logs)]
-    return LossResult(
-        p_loss=math.fsum(t for _, t in terms),
-        per_f_terms=tuple(terms) if want_terms else None,
-    )
+    return LossResult(p_loss=math.fsum(terms))
 
 
 def _closed_form_loss(n: int, p: float) -> LossResult:
@@ -314,9 +298,7 @@ def _closed_form_loss(n: int, p: float) -> LossResult:
     return LossResult(p_loss=float(1 - survive**n))
 
 
-def prob_data_loss(
-    n: int, p: float, method: str = "exact-bigint", want_terms: bool = False
-) -> LossResult:
+def prob_data_loss(n: int, p: float, method: str = "exact-bigint") -> LossResult:
     """Probability that random machine failures (each machine independently
     fails with probability p) destroy every copy of some data half.
 
@@ -332,17 +314,15 @@ def prob_data_loss(
 
     Both float results of the exact routes are correctly rounded values of
     the same rational, so exact-bigint and closed-form agree bit for bit.
-    want_terms asks the two sums for their per-f summands in increasing f;
-    closed-form has none.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if method == "exact-bigint":
-        return _exact_loss(n, p, want_terms)
+        return _exact_loss(n, p)
     if method == "log-domain":
-        return _log_domain_loss(n, p, want_terms)
+        return _log_domain_loss(n, p)
     if method == "closed-form":
         return _closed_form_loss(n, p)
     raise ValueError(f"unknown method {method!r}; expected one of {LOSS_METHODS}")

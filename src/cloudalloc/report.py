@@ -71,10 +71,10 @@ def claimed_point(params: ModelParams) -> dict:
 def fixed_point_section() -> dict:
     alpha, xi1, xi2 = CLAIMED_POINT_PARAMS
     params = ModelParams.two_user(alpha, xi1, xi2)
-    origin = dynamics.map_residual(params, (0.0, 0.0, 0.0))
+    origin = dynamics.map_residual(params, (0.0, 0.0, 0.0)).tolist()
     return {
         "params": {"alpha": alpha, "xi1": xi1, "xi2": xi2},
-        "origin_residual": float(np.max(np.abs(origin))),
+        "origin_residual": max(map(abs, origin)),
         "claimed_point": claimed_point(params),
     }
 
@@ -82,8 +82,9 @@ def fixed_point_section() -> dict:
 def routh_region_section() -> dict:
     """Grid scan showing the Routh-stable region is empty: P > 0 and Q > 0
     are mutually exclusive for alpha > 0."""
-    alphas = np.linspace(0.05, 1.0, 20)
-    xis = np.linspace(0.0, 2.0, 41)
+    # plain floats: numpy scalars would slow every coefficient and verdict
+    alphas = np.linspace(0.05, 1.0, 20).tolist()
+    xis = np.linspace(0.0, 2.0, 41).tolist()
     stable = 0
     pq_joint = 0
     window_hits = 0

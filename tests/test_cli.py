@@ -727,6 +727,16 @@ class TestDiscrepancyReport:
         assert run(argv + ["--out", str(b)]) == 0
         assert read(a) == read(b)
 
+    def test_routh_region_counts(self):
+        from cloudalloc.report import routh_region_section
+
+        assert routh_region_section() == {
+            "grid_points": 33620,
+            "routh_stable_count": 0,
+            "p_and_q_positive_count": 0,
+            "stability_window_count": 5426,
+        }
+
 
 class TestReadmeExamples:
     def test_every_cli_example_parses(self):
