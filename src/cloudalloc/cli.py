@@ -284,7 +284,7 @@ def _cmd_placement(args):
     if args.format == "json":
         result = {
             "n": plan.n,
-            "machines": len(plan.machines),
+            "machines": replication.MACHINES_PER_NODE * plan.n,
             "blocks": [
                 {
                     "rack": b.rack,

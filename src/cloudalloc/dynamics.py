@@ -113,12 +113,10 @@ def find_fixed_points(
     for seed in seeds:
         x = np.asarray(seed, dtype=float).copy()
         g = map_residual(params, x)
-        converged = False
         iterations = 0
         for iterations in range(1, max_iter + 1):
             norm = float(np.max(np.abs(g)))
             if norm < _NEWTON_TOL:
-                converged = True
                 break
             jac = _fd_jacobian(params, x) - np.eye(3)
             try:
@@ -139,13 +137,11 @@ def find_fixed_points(
             if not improved:
                 break
         norm = float(np.max(np.abs(g)))
-        if norm < _NEWTON_TOL:
-            converged = True
         results.append(
             FixedPointResult(
                 point=tuple(float(c) for c in x),
                 residual=norm,
-                converged=converged,
+                converged=norm < _NEWTON_TOL,
                 iterations=iterations,
             )
         )
@@ -418,9 +414,14 @@ def bifurcation_scan(
         raise ValueError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
+    grid = np.linspace(lo, hi, points).tolist()
+    # The grid's ends are lo and hi exactly, and every ModelParams check
+    # admits an interval of the swept value, so valid ends make the whole
+    # grid valid: build them first, and a bad range fails before any orbit.
+    ends = {value: _with_swept(base_params, param, value) for value in (grid[0], grid[-1])}
     results = []
-    for value in np.linspace(lo, hi, points).tolist():
-        p = _with_swept(base_params, param, value)
+    for value in grid:
+        p = ends[value] if value in ends else _with_swept(base_params, param, value)
         try:
             v_samples, sums, _ = _tangent_orbit(
                 p, s0, transient, samples, lyap_iterations, False

@@ -71,12 +71,6 @@ class ReplicaLabel:
 
 
 @dataclass(frozen=True)
-class Machine:
-    id: int
-    half: tuple[int, str]  # the one (node, half) it hosts; half in {"A", "B"}
-
-
-@dataclass(frozen=True)
 class Block:
     rack: str
     index: int
@@ -101,13 +95,16 @@ class PlacementPlan:
     n: int
     owner_blocks: tuple[Block, ...]
     user_blocks: tuple[Block, ...]
-    machines: tuple[Machine, ...]
 
     def half_hosts(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """Machine ids hosting each (node, half) pair."""
+        """Machine ids hosting each (node, half) pair.  A block's entries
+        put their halves (`_KIND_HALVES`) on its machines in entry order,
+        one half per machine."""
         hosts: dict[tuple[int, str], list[int]] = {}
-        for m in self.machines:
-            hosts.setdefault(m.half, []).append(m.id)
+        for b in self.owner_blocks + self.user_blocks:
+            halves = [(e.node, h) for e in b.entries for h in _KIND_HALVES[e.kind]]
+            for machine_id, half in zip(b.machine_ids, halves, strict=True):
+                hosts.setdefault(half, []).append(machine_id)
         return {k: tuple(sorted(v)) for k, v in sorted(hosts.items())}
 
 
@@ -139,18 +136,7 @@ def build_placement(n: int) -> PlacementPlan:
         Block("user", i + 1, (S1[i], S2[(i + 1) % n], S1[(i + 2) % n]), user_machine_ids(n, i + 1))
         for i in range(n)
     )
-    # owner ids precede user ids and rise within each rack, so this is
-    # already the id order
-    machines = tuple(
-        Machine(machine_id, half)
-        for b in owner_blocks + user_blocks
-        for machine_id, half in zip(
-            b.machine_ids,
-            [(e.node, h) for e in b.entries for h in _KIND_HALVES[e.kind]],
-            strict=True,
-        )
-    )
-    return PlacementPlan(n, owner_blocks, user_blocks, machines)
+    return PlacementPlan(n, owner_blocks, user_blocks)
 
 
 def render_plan(plan: PlacementPlan) -> str:

@@ -34,7 +34,6 @@ REFERENCE_LOSS_TABLE = {
 # storage 1 Gb, initial user storage 0.1 Gb each): stage -> quoted
 # (owner, user1, user2) in bytes, decimal units.
 ALLOCATION_PARAMS = (0.6, 1.25, 1.28)
-ALLOCATION_STAGES = (1, 10, 20, 200, 365)
 REFERENCE_ALLOCATION_TABLE = {
     1: (480 * ledger.MEGABYTE, 12.29 * ledger.MEGABYTE, 13 * ledger.MEGABYTE),
     10: (369 * ledger.MEGABYTE, 103 * ledger.MEGABYTE, 102.76 * ledger.MEGABYTE),
@@ -143,7 +142,7 @@ def loss_table_section() -> dict:
     rows = [
         {
             "n": row.n,
-            "machines": 7 * row.n,
+            "machines": replication.MACHINES_PER_NODE * row.n,
             "reference": REFERENCE_LOSS_TABLE[row.n],
             "exact": row.p_loss_exact,
             "closed_form": row.p_loss_closed_form,
@@ -161,7 +160,7 @@ def allocation_section() -> dict:
     # alpha*v0 = 1 Gb and xi_i*x_i0 = 0.1 Gb, with 1 Gb as the model unit
     s0 = SystemState(l=0, v_c=1.0 / alpha, x=(0.1 / xi1, 0.1 / xi2))
     records = ledger.allocation_report(
-        params, s0, ALLOCATION_STAGES, unit_scale=ledger.GIGABYTE
+        params, s0, sorted(REFERENCE_ALLOCATION_TABLE), unit_scale=ledger.GIGABYTE
     )
     rows = []
     for rec in records:

@@ -347,8 +347,11 @@ class TestUsageErrors:
             (["fixed-points", "--seeds", "1,2"], "each seed needs 3 components, got '1,2'"),
             (["lyapunov", "--iters", "1000", "--zero-band", "nan"],
              "zero_band must be > 0, got nan"),
+            (["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param", "alpha",
+              "--lo", "0.5", "--hi", "1.5", "--points", "200"],
+             "alpha must lie in (0, 1], got 1.5"),
         ],
-        ids=["int-list-token", "empty-stages", "seed-arity", "nan-zero-band"],
+        ids=["int-list-token", "empty-stages", "seed-arity", "nan-zero-band", "sweep-end"],
     )
     def test_refused_arguments(self, argv, message, capsys):
         params = ["--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23"]
@@ -694,11 +697,14 @@ class TestAnalysisCommands:
         assert proc.returncode == 0, proc.stderr
         assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in proc.stdout
 
-    def test_placement_json(self, capsys):
-        assert run(["placement", "--nodes", "3", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["result"]["machines"] == 21
-        assert len(doc["result"]["blocks"]) == 6
+    @pytest.mark.parametrize("n", [3, 10, 60])
+    def test_placement_json(self, n, capsys):
+        assert run(["placement", "--nodes", str(n), "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["machines"] == 7 * n
+        assert len(result["blocks"]) == 2 * n
+        ids = [i for block in result["blocks"] for i in block["machine_ids"]]
+        assert sorted(ids) == list(range(7 * n))
 
 
 class TestDiscrepancyReport:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cloudalloc import dynamics
 from cloudalloc.dynamics import (
     AttractorClass,
     LyapunovSpectrum,
@@ -460,6 +461,31 @@ class TestBifurcationScan:
         for lo, hi in ((0.1, math.inf), (-math.inf, 0.9), (math.nan, 0.9), (0.1, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 bifurcation_scan(params(0.5, 1.28, 1.23), "xi1", lo, hi, 2, S0)
+
+    def count_orbits(self, monkeypatch):
+        calls = []
+        real = dynamics._tangent_orbit
+        monkeypatch.setattr(
+            dynamics, "_tangent_orbit", lambda *args: calls.append(args[0]) or real(*args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("lo, hi, bad", [(0.5, 1.5, "1.5"), (0.0, 0.9, "0.0")])
+    def test_out_of_range_end_refused_before_any_orbit(self, lo, hi, bad, monkeypatch):
+        calls = self.count_orbits(monkeypatch)
+        with pytest.raises(ValueError, match=rf"alpha must lie in \(0, 1\], got {bad}$"):
+            bifurcation_scan(params(0.5, 0.1, 0.1), "alpha", lo, hi, 200, S0)
+        assert calls == []
+
+    def test_single_point_grid_checks_only_lo(self, monkeypatch):
+        # with one point the grid is [lo], so an out-of-range hi is never swept
+        calls = self.count_orbits(monkeypatch)
+        scan = bifurcation_scan(
+            params(0.5, 0.1, 0.1), "alpha", 0.5, 1.5, 1, S0,
+            transient=100, samples=5, lyap_iterations=1000,
+        )
+        assert [gp.value for gp in scan.points] == [0.5]
+        assert [p.alpha for p in calls] == [0.5]
 
     @pytest.mark.parametrize("window", [{"samples": 0}, {"samples": -5}, {"transient": -50}])
     def test_empty_sample_window_rejected(self, window):

@@ -84,8 +84,10 @@ class TestScenarioLoss:
 
     def test_both_primary_machines_alone_survive_structurally(self):
         plan = build_placement(3)
+        hosts = plan.half_hosts()
         primaries = [
-            i for i in plan.owner_blocks[0].machine_ids if plan.machines[i].half[0] == 1
+            i for i in plan.owner_blocks[0].machine_ids
+            if i in hosts[(1, "A")] + hosts[(1, "B")]
         ]
         assert len(primaries) == 2
         s = FailureScenario(n=3, failed=frozenset(primaries))
@@ -120,7 +122,9 @@ class TestHostingSets:
     def test_placement_invariants(self, n):
         m = 7 * n
         plan = build_placement(n)
-        assert [machine.id for machine in plan.machines] == list(range(m))
+        assert sorted(
+            i for b in plan.owner_blocks + plan.user_blocks for i in b.machine_ids
+        ) == list(range(m))
         hosts = plan.half_hosts()
         assert set(hosts) == {(node, half) for node in range(1, n + 1) for half in "AB"}
         # each machine hosts one half, so the host lists partition the machines
@@ -129,6 +133,8 @@ class TestHostingSets:
             assert len(hosts[(node, "A")]) == 4
             assert len(hosts[(node, "B")]) == 3
 
+        halves = {j: half for half, ids in hosts.items() for j in ids}
+
         def wrap(i):
             return (i - 1) % n + 1
 
@@ -136,13 +142,13 @@ class TestHostingSets:
             assert [str(e) for e in owner.entries] == [
                 f"P{i}", f"S1_{wrap(i + 1)}", f"S2_{wrap(i + 2)}"
             ]
-            assert [plan.machines[j].half for j in owner.machine_ids] == [
+            assert [halves[j] for j in owner.machine_ids] == [
                 (i, "A"), (i, "B"), (wrap(i + 1), "A"), (wrap(i + 2), "B")
             ]
             assert [str(e) for e in user.entries] == [
                 f"S1_{i}", f"S2_{wrap(i + 1)}", f"S1_{wrap(i + 2)}"
             ]
-            assert [plan.machines[j].half for j in user.machine_ids] == [
+            assert [halves[j] for j in user.machine_ids] == [
                 (i, "A"), (wrap(i + 1), "B"), (wrap(i + 2), "A")
             ]
 

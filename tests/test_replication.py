@@ -41,6 +41,14 @@ def slot_table(n):
     return halves
 
 
+def machine_halves(plan):
+    """Invert `half_hosts()`: machine id -> the one (node, half) it hosts,
+    in id order.  A machine listed under two halves fails here."""
+    pairs = sorted((i, half) for half, ids in plan.half_hosts().items() for i in ids)
+    assert len({i for i, _ in pairs}) == len(pairs), "a machine hosts two halves"
+    return dict(pairs)
+
+
 def convolution_power(n):
     """Oracle: (1 + 7x + ... + 12x^5)^n by binary-exponentiation convolution."""
 
@@ -107,7 +115,7 @@ class TestPlacement:
             ["S1_2", "S2_3", "S1_1"],
             ["S1_3", "S2_1", "S1_2"],
         ]
-        assert len(plan.machines) == 21
+        assert list(machine_halves(plan)) == list(range(21))
 
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodesError):
@@ -115,7 +123,7 @@ class TestPlacement:
 
     def test_ten_nodes_has_seventy_machines(self):
         plan = build_placement(10)
-        assert len(plan.machines) == 70
+        assert list(machine_halves(plan)) == list(range(70))
 
     def test_machine_counts_per_block(self):
         plan = build_placement(5)
@@ -126,8 +134,9 @@ class TestPlacement:
 
     def test_each_machine_hosts_one_half(self):
         plan = build_placement(6)
-        for m in plan.machines:
-            node, half = m.half
+        halves = machine_halves(plan)
+        assert list(halves) == list(range(42))
+        for node, half in halves.values():
             assert 1 <= node <= 6 and half in ("A", "B")
 
     def test_cyclic_wraparound(self):
@@ -147,13 +156,15 @@ class TestPlacement:
     def test_halves_follow_the_slot_table(self):
         for n in range(3, 61):
             plan = build_placement(n)
-            assert [m.id for m in plan.machines] == list(range(7 * n))
-            assert [m.half for m in plan.machines] == slot_table(n), n
+            halves = machine_halves(plan)
+            assert list(halves) == list(range(7 * n))
+            assert list(halves.values()) == slot_table(n), n
 
     def test_machine_ids_cover_range_once(self):
         plan = build_placement(4)
-        ids = [m.id for m in plan.machines]
+        ids = [i for b in plan.owner_blocks + plan.user_blocks for i in b.machine_ids]
         assert ids == list(range(28))
+        assert list(machine_halves(plan)) == ids
 
     def test_groups_partition_machines(self):
         seen = set()
