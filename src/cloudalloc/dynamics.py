@@ -1,10 +1,11 @@
 """Stability, Lyapunov, and bifurcation analysis of the two-user map.
 
 Everything here works on the 3-vector X = (v_c, x1, x2).  numpy serves
-the one-off 3x3 linear algebra of the Newton solve.  Orbits
-with a tangent frame -- Lyapunov spectra and bifurcation sweeps -- run in
-one plain-float kernel, `_tangent_orbit`, which re-orthonormalizes the
-frame by unrolled modified Gram-Schmidt and makes no per-step numpy call.
+the one-off 3x3 linear algebra of the Newton solve and builds the sweep
+grid (`np.linspace`).  Orbits with a tangent frame -- Lyapunov spectra
+and bifurcation sweeps -- run in one plain-float kernel, `_tangent_orbit`,
+which re-orthonormalizes the frame by unrolled modified Gram-Schmidt and
+makes no per-step numpy call.
 """
 
 from __future__ import annotations
@@ -227,7 +228,6 @@ def _tangent_orbit(
     transient: int,
     samples: int,
     iterations: int,
-    history: bool,
 ) -> tuple[list[float], tuple[float, float, float], list[tuple[float, float, float]]]:
     """The one orbit + tangent-frame kernel of the two-user map, in plain floats.
 
@@ -238,7 +238,7 @@ def _tangent_orbit(
     them by modified Gram-Schmidt, whose stretch factors r_jj equal |R_jj|
     of a QR factorization.  Returns (v samples, the three log-stretch sums,
     the running means sums/k every _HISTORY_STRIDE stages before the last,
-    in column order; empty unless `history`).
+    in column order).
 
     All three phases read one `two_user_orbit` generator, so the state
     step and its bound test are written once, and DivergenceError carries
@@ -308,7 +308,7 @@ def _tangent_orbit(
         q13, q23, q33 = m1 / r, m2 / r, m3 / r
 
         _, v, x1, x2 = step()
-        if history and k % _HISTORY_STRIDE == 0 and k < iterations:
+        if k % _HISTORY_STRIDE == 0 and k < iterations:
             means.append((s1 / k, s2 / k, s3 / k))
     return v_samples, (s1, s2, s3), means
 
@@ -326,7 +326,7 @@ def lyapunov_spectrum(
     a few dozen stages.  The work is done by `_tangent_orbit` in plain
     floats, with no per-step numpy call.
     """
-    _, sums, means = _tangent_orbit(params, s0, 0, 0, iterations, True)
+    _, sums, means = _tangent_orbit(params, s0, 0, 0, iterations)
     history = [tuple(sorted(m, reverse=True)) for m in means]
     exponents = tuple(sorted((s / iterations for s in sums), reverse=True))
     history.append(exponents)
@@ -423,9 +423,7 @@ def bifurcation_scan(
     for value in grid:
         p = ends[value] if value in ends else _with_swept(base_params, param, value)
         try:
-            v_samples, sums, _ = _tangent_orbit(
-                p, s0, transient, samples, lyap_iterations, False
-            )
+            v_samples, sums, _ = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
         except DivergenceError as exc:
             gp = GridPointResult(value, (), math.nan, True, exc.stage)
         else:

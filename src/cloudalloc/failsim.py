@@ -18,6 +18,7 @@ predicate (`_lost_rows`): some set failed completely."""
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +54,8 @@ _SLAB_CELLS = 1 << 16
 # jump of 2**128, so disjoint from the cell words of every chunk.
 _TIE_ADVANCE = 2**127
 _Z95 = 1.96
-# Each worker thread runs one strided share of the chunks, so a pool never
-# holds more tasks than threads; more workers than this are refused.
+# The caller and each pool thread run one strided share of the chunks, so a
+# pool never holds more tasks than threads; more workers than this are refused.
 _MAX_WORKERS = 64
 # Exhaustive enumeration walks the 2^(7n) scenarios in blocks of
 # 2^_BLOCK_BITS rows; the block size bounds memory, never the result.
@@ -241,17 +242,6 @@ def _lost_rows(
     return lost.any(axis=1)
 
 
-def _chunk_loss_count(
-    seed: int, chunk: int, rows: int, machines: int, p: float,
-    families: list[list[slice | np.ndarray]],
-) -> int:
-    """Trials of one chunk in which some set of some family failed whole."""
-    losses = 0
-    for f in _failed_slabs(seed, chunk, rows, machines, p):
-        losses += int(np.count_nonzero(_lost_rows(f, families)))
-    return losses
-
-
 def _wilson_95(losses: int, trials: int) -> tuple[float, float]:
     """The 95% Wilson score interval of losses / trials (Wilson 1927); its
     ends are exactly 0 and 1 where no or every trial was lost."""
@@ -277,10 +267,10 @@ def mc_estimate(
     Each of the 7n machines fails independently with probability p per
     trial.  Trials are deterministic functions of (seed, trial index), so
     the estimate is identical for any worker count; workers (at most 64)
-    only spread the fixed trial chunks over threads, one strided share of
-    the chunks per thread.  half_width_95 is the 95% normal
-    (Wald) half-width; ci95_low and ci95_high are the 95% Wilson score
-    interval, which stays open at p_hat 0 and 1.
+    only spread the fixed trial chunks over strided shares: the calling
+    thread runs the first, a pool thread each other.  half_width_95 is the
+    95% normal (Wald) half-width; ci95_low and ci95_high are the 95% Wilson
+    score interval, which stays open at p_hat 0 and 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -296,19 +286,28 @@ def mc_estimate(
     machines = MACHINES_PER_NODE * n
 
     n_chunks = (trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
-
-    def run_chunk(c: int) -> int:
-        rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
-        return _chunk_loss_count(seed, c, rows, machines, p, families)
+    stop = threading.Event()  # set on any exception; each stride ends at its next chunk
 
     def run_stride(first: int) -> int:
-        return sum(run_chunk(c) for c in range(first, n_chunks, workers))
+        losses = 0
+        try:
+            for c in range(first, n_chunks, workers):
+                if stop.is_set():
+                    break  # a partial sum is never read: the exception reaches the caller
+                rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
+                for f in _failed_slabs(seed, c, rows, machines, p):
+                    losses += int(np.count_nonzero(_lost_rows(f, families)))
+        except BaseException:
+            stop.set()
+            raise
+        return losses
 
-    if workers == 1:
-        losses = run_stride(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            losses = sum(pool.map(run_stride, range(min(workers, n_chunks))))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            strides = [pool.submit(run_stride, w) for w in range(1, min(workers, n_chunks))]
+            losses = run_stride(0) + sum(s.result() for s in strides)
+        finally:
+            stop.set()  # after a clean finish, every stride has returned
 
     p_hat = losses / trials
     half_width = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)

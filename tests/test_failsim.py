@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 from concurrent.futures import Executor, Future
 from fractions import Fraction
@@ -15,9 +16,9 @@ from cloudalloc.failsim import (
     SCENARIO_MODES,
     FailureScenario,
     McEstimate,
-    _chunk_loss_count,
     _failed_slabs,
     _hosting_sets,
+    _lost_rows,
     _member_columns,
     exhaustive_loss_probability,
     group_fatal,
@@ -257,7 +258,9 @@ class TestMcEstimate:
         with pytest.raises(ValueError, match=r"workers must lie in 1\.\.64, got 65"):
             mc_estimate(5, 0.5, 100, workers=65)
 
-    @pytest.mark.parametrize("workers, chunks, tasks", [(3, 100, 3), (3, 2, 2), (64, 1, 1)])
+    @pytest.mark.parametrize(
+        "workers, chunks, tasks", [(3, 100, 3), (3, 2, 2), (64, 1, 1), (1, 100, 1)]
+    )
     def test_one_strided_task_per_worker(self, workers, chunks, tasks, monkeypatch):
         pools = []
 
@@ -278,8 +281,35 @@ class TestMcEstimate:
         est = mc_estimate(3, 0.3, trials, seed=4, workers=workers)
         [pool] = pools
         assert pool.max_workers == workers
-        assert pool.tasks == [(w,) for w in range(tasks)]
+        # the caller runs stride 0 itself; the pool gets the others
+        assert pool.tasks == [(w,) for w in range(1, tasks)]
         assert est == mc_estimate(3, 0.3, trials, seed=4, workers=1)
+
+    def test_a_raising_stride_stops_the_others_within_a_chunk(self, monkeypatch):
+        class Interrupt(BaseException):
+            """Like KeyboardInterrupt, not an Exception."""
+
+        real = failsim._failed_slabs
+        started, raised = threading.Event(), threading.Event()
+        stride_one_chunks = []
+
+        def slabs(seed, chunk, rows, machines, p):
+            if chunk % 2:
+                stride_one_chunks.append(chunk)
+            if chunk == 1:  # stride 1's first chunk waits for stride 0 to raise
+                started.set()
+                assert raised.wait(timeout=30)
+            elif chunk == 2:  # stride 0's second chunk
+                assert started.wait(timeout=30)
+                raised.set()
+                raise Interrupt
+            return real(seed, chunk, rows, machines, p)
+
+        monkeypatch.setattr(failsim, "_failed_slabs", slabs)
+        with pytest.raises(Interrupt):
+            mc_estimate(1, 0.3, 200 * 4096, workers=2)
+        # stride 1's share is 100 chunks; it stops within a chunk of the raise
+        assert 1 <= len(stride_one_chunks) <= 3
 
 
 def _whole_block_cells(seed, chunk, rows, n):
@@ -302,6 +332,13 @@ def _whole_block_failures(cells, seed, chunk, p):
     ties = np.random.Generator(np.random.Philox(key=seed).jumped(chunk).advance(2**127))
     failed.flat[tied] = ties.random(tied.size) < float(scaled - head)
     return failed
+
+
+def _chunk_losses(seed, chunk, rows, machines, p, families):
+    """Trials of one chunk in which some set of some family failed whole:
+    `_lost_rows` summed over the chunk's row slabs."""
+    slabs = _failed_slabs(seed, chunk, rows, machines, p)
+    return sum(int(np.count_nonzero(_lost_rows(f, families))) for f in slabs)
 
 
 def _kernel_failures(seed, chunk, rows, n, p):
@@ -350,11 +387,11 @@ class TestChunkKernel:
             failed = _whole_block_failures(cells, 5, 3, p)
             assert np.array_equal(_kernel_failures(5, 3, rows, n, p), failed), (n, rows, p)
             want = int(_whole_block_losses(failed, n, None).sum())
-            assert _chunk_loss_count(5, 3, rows, 7 * n, p, group) == want, (n, rows, p)
-            assert _chunk_loss_count(5, 3, rows, 7 * n, p, gathers) == want, (n, rows, p)
+            assert _chunk_losses(5, 3, rows, 7 * n, p, group) == want, (n, rows, p)
+            assert _chunk_losses(5, 3, rows, 7 * n, p, gathers) == want, (n, rows, p)
             if hosts:
                 want = int(_whole_block_losses(failed, n, hosts).sum())
-                got = _chunk_loss_count(5, 3, rows, 7 * n, p, structural)
+                got = _chunk_losses(5, 3, rows, 7 * n, p, structural)
                 assert got == want, (n, rows, p)
 
     @pytest.mark.parametrize("n", [1, 10, 37])
@@ -367,7 +404,7 @@ class TestChunkKernel:
         assert np.array_equal(_kernel_failures(8, 2, 7, n, p), full[:7])
         group = [_member_columns(s) for s in _hosting_sets(n, "group")]
         lost = _whole_block_losses(full, n, None)
-        counts = [_chunk_loss_count(8, 2, rows, 7 * n, p, group) for rows in range(1, 8)]
+        counts = [_chunk_losses(8, 2, rows, 7 * n, p, group) for rows in range(1, 8)]
         assert counts == np.cumsum(lost[:7]).tolist()
 
     def test_evenly_stepped_ids_are_read_as_views(self):
