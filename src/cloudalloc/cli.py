@@ -198,7 +198,7 @@ def _cmd_iterate(args):
 def _cmd_fixed_points(args):
     params = _params(args)
     claimed = report.claimed_point(params)
-    seeds = _seed_list(args.seeds) if args.seeds else [(0.0, 0.0, 0.0), claimed["point"]]
+    seeds = [(0.0, 0.0, 0.0), claimed["point"]] if args.seeds is None else _seed_list(args.seeds)
     results = dynamics.find_fixed_points(params, seeds)
     result = {
         "search": [{"seed": seed, **dataclasses.asdict(r)} for seed, r in zip(seeds, results)],
@@ -250,8 +250,6 @@ def _cmd_bifurcate(args):
 
 
 def _cmd_storage_report(args):
-    if not (math.isfinite(args.unit_scale) and args.unit_scale > 0):
-        raise ValueError(f"--unit-scale must be finite and > 0, got {args.unit_scale}")
     params = _params(args)
     records = ledger.allocation_report(
         params, _state(args), _int_list(args.stages), unit_scale=args.unit_scale

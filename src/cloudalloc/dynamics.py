@@ -20,10 +20,6 @@ import numpy as np
 from .model import DivergenceError, ModelParams, SystemState, step_two_user_raw, two_user_orbit
 
 
-class SingularParametersError(ValueError):
-    """A formula degenerates for the given scale parameters."""
-
-
 class RouthVerdict(Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
@@ -90,17 +86,17 @@ def _fd_jacobian(params: ModelParams, point: np.ndarray) -> np.ndarray:
 
 # max-norm residual below which a Newton iterate counts as a fixed point
 _NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 200  # Newton steps per seed
 
 
 # An overflowing seed gives inf/nan residuals; the search reports it as
 # non-converged, with a non-finite residual, instead of leaking numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def find_fixed_points(
-    params: ModelParams, seeds, max_iter: int = 200
-) -> list[FixedPointResult]:
+def find_fixed_points(params: ModelParams, seeds) -> list[FixedPointResult]:
     """Damped Newton search for roots of F(X) - X from each seed.
 
-    A seed converges once the max-norm residual drops below 1e-12.
+    Every seed component must be finite.  A seed converges once the
+    max-norm residual drops below 1e-12 within 200 Newton steps.
     Non-converged seeds are returned with converged=False (their best
     point and residual attached), never dropped.  The Newton matrix uses
     a central finite-difference Jacobian so the search is independent of
@@ -109,13 +105,15 @@ def find_fixed_points(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
+    if not all(math.isfinite(c) for seed in seeds for c in seed):
+        raise ValueError(f"seed components must be finite, got {seeds}")
 
     results = []
     for seed in seeds:
         x = np.asarray(seed, dtype=float).copy()
         g = map_residual(params, x)
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _NEWTON_MAX_ITER + 1):
             norm = float(np.max(np.abs(g)))
             if norm < _NEWTON_TOL:
                 break
@@ -193,7 +191,7 @@ def hopf_alpha(xi1: float, xi2: float) -> float:
         alpha = (3*(xi1 - xi2)**2 + 4*xi1*xi2) / (3*(xi1 - xi2))
     """
     if xi1 == xi2:
-        raise SingularParametersError("hopf_alpha is undefined for xi1 == xi2")
+        raise ValueError("hopf_alpha is undefined for xi1 == xi2")
     return (3.0 * (xi1 - xi2) ** 2 + 4.0 * xi1 * xi2) / (3.0 * (xi1 - xi2))
 
 

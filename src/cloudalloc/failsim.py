@@ -28,6 +28,8 @@ import numpy as np
 from .replication import (
     MACHINES_PER_NODE,
     PlacementPlan,
+    _check_nodes,
+    _check_probability,
     build_placement,
     owner_machine_ids,
     user_machine_ids,
@@ -71,8 +73,7 @@ class FailureScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "failed", frozenset(self.failed))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_nodes(self.n)
         m = MACHINES_PER_NODE * self.n
         bad = [i for i in self.failed if not 0 <= i < m]
         if bad:
@@ -272,12 +273,10 @@ def mc_estimate(
     95% normal (Wald) half-width; ci95_low and ci95_high are the 95% Wilson
     score interval, which stays open at p_hat 0 and 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_nodes(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_probability(p)
     if not 1 <= workers <= _MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{_MAX_WORKERS}, got {workers}")
     if not 0 <= seed < 2**128:
@@ -329,12 +328,10 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
     and the final sum is exact (rational).  Cost is exponential -- n <= 4
     (2^28 scenarios, a few seconds) is the intended desk scale.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_nodes(n)
     if n > 4:
         raise ValueError(f"exhaustive enumeration is limited to n <= 4, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_probability(p)
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
     m = MACHINES_PER_NODE * n
     low = min(_BLOCK_BITS, m)

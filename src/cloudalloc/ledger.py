@@ -8,6 +8,7 @@ Byte quantities are decimal throughout (1 Gb = 1000 Mb = 10^9 bytes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -15,10 +16,6 @@ from .model import ModelParams, SystemState, two_user_orbit
 
 MEGABYTE = 1_000_000.0
 GIGABYTE = 1_000_000_000.0
-
-
-class OutOfRangeError(ValueError):
-    """A requested stage precedes the initial stage of the report."""
 
 
 def _sign(value: float) -> int:
@@ -56,16 +53,18 @@ def allocation_report(
     requested stages.
 
     `stages` must be nonempty, sorted ascending and lie at or after s0's
-    stage; `unit_scale` is bytes per model unit.  Divergence surfaces as
-    DivergenceError from the raw orbit.
+    stage; `unit_scale` (bytes per model unit) finite and > 0.  Divergence
+    surfaces as DivergenceError from the raw orbit.
     """
+    if not (math.isfinite(unit_scale) and unit_scale > 0):
+        raise ValueError(f"unit_scale must be finite and > 0, got {unit_scale}")
     stages = list(stages)
     if not stages:
         raise ValueError("stages must be nonempty")
     if any(b <= a for a, b in zip(stages, stages[1:])):
         raise ValueError(f"stages must be strictly ascending, got {stages}")
     if stages[0] < s0.l:
-        raise OutOfRangeError(f"stage {stages[0]} precedes the initial stage {s0.l}")
+        raise ValueError(f"stage {stages[0]} precedes the initial stage {s0.l}")
 
     wanted = set(stages)
     orbit = chain([(s0.l, s0.v_c, *s0.x)], two_user_orbit(params, s0, stages[-1] - s0.l))

@@ -57,10 +57,6 @@ LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 _EXACT_BIGINT_MAX_MACHINES = 7 * 400
 
 
-class TooFewNodesError(ValueError):
-    """The cyclic placement needs at least three nodes."""
-
-
 @dataclass(frozen=True)
 class ReplicaLabel:
     kind: str   # "P", "S1" or "S2"
@@ -123,7 +119,7 @@ def build_placement(n: int) -> PlacementPlan:
     node's chunk set.
     """
     if n < 3:
-        raise TooFewNodesError(f"placement requires n >= 3 nodes, got {n}")
+        raise ValueError(f"placement requires n >= 3 nodes, got {n}")
 
     # one label per replica, shared by the blocks that hold it:
     # P[i], S1[i] and S2[i] are the copies of node i + 1
@@ -149,6 +145,17 @@ def render_plan(plan: PlacementPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The input rules of the loss engine, shared by its oracles in failsim.
+def _check_nodes(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
 @functools.lru_cache(maxsize=64)
 def loss_polynomial(n: int) -> tuple[int, ...]:
     """Exact integer coefficients of the n-th power of the base polynomial
@@ -159,8 +166,7 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
     k c_k = sum_{j=1..5} ((n + 1) j - k) a_j c_{k-j}.  The division by k
     is exact because a_0 = 1, and is checked.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_nodes(n)
     deg = len(BASE_COEFFS) - 1
     coeffs = [1]
     for k in range(1, deg * n + 1):
@@ -177,8 +183,7 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
 def prob_no_loss(n: int, f: int) -> float:
     """Probability that f uniformly random machine failures destroy no half:
     coeff(x^f) / C(7n, f) for f <= 5n, zero beyond (exact ratio, floated)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_nodes(n)
     if not 0 <= f <= MACHINES_PER_NODE * n:
         raise ValueError(f"f must lie in [0, {MACHINES_PER_NODE * n}], got {f}")
     if f > 5 * n:
@@ -190,8 +195,8 @@ def prob_no_loss(n: int, f: int) -> float:
 def prob_f_failures(n: int, f: int, p: float) -> float:
     """Binomial probability of exactly f failures among 7n machines: the
     weight that pairs with `prob_no_loss` in the loss sum (test reference)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_nodes(n)
+    _check_probability(p)
     m = MACHINES_PER_NODE * n
     if not 0 <= f <= m:
         raise ValueError(f"f must lie in [0, {m}], got {f}")
@@ -301,10 +306,8 @@ def prob_data_loss(n: int, p: float, method: str = "exact-bigint") -> LossResult
     Both float results of the exact routes are correctly rounded values of
     the same rational, so exact-bigint and closed-form agree bit for bit.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_nodes(n)
+    _check_probability(p)
     if method == "exact-bigint":
         return _exact_loss(n, p)
     if method == "log-domain":
@@ -323,13 +326,15 @@ class LossCurveRow:
 
 
 def loss_curve(n_list, p: float) -> list[LossCurveRow]:
-    """Data-loss probability per cluster size, plot-ready.  Every n is held
-    to the exact-bigint budget before the first sum is computed."""
+    """Data-loss probability per cluster size, plot-ready.  Every n and p is
+    checked, and n held to the exact-bigint budget, before the first sum."""
     n_list = list(n_list)
     if not n_list:
         raise ValueError("n_list must be nonempty")
     for n in n_list:
+        _check_nodes(n)
         _check_exact_bigint_budget(n)
+    _check_probability(p)
     return [
         LossCurveRow(
             n=n,

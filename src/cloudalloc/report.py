@@ -50,14 +50,12 @@ CLAIMED_POINT_PARAMS = (0.6, 1.25, 1.28)
 def claimed_point(params: ModelParams) -> dict:
     """The claimed non-origin fixed point (1, -alpha/(2 xi1), alpha/(2 xi2))
     with its residual F(X) - X and that residual's max-norm.  Raises
-    SingularParametersError when xi1 or xi2 is zero, where the point has
-    no finite value."""
+    ValueError when xi1 or xi2 is zero, where the point has no finite
+    value."""
     alpha, xi1, xi2 = params.alpha, params.xi1, params.xi2
     for name, xi in (("xi1", xi1), ("xi2", xi2)):
         if xi == 0.0:
-            raise dynamics.SingularParametersError(
-                f"the claimed fixed point is undefined for {name} = {xi}"
-            )
+            raise ValueError(f"the claimed fixed point is undefined for {name} = {xi}")
     point = (1.0, -alpha / (2.0 * xi1), alpha / (2.0 * xi2))
     residual = dynamics.map_residual(params, point).tolist()
     return {

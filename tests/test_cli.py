@@ -245,11 +245,13 @@ class TestUsageErrors:
     def test_unit_scale_must_be_finite_and_positive(self, scale, capsys):
         assert run(
             ["storage-report", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28",
-             "--stages", "1", "--unit-scale", scale]
+             "--stages", "1", f"--unit-scale={scale}"]
         ) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--unit-scale" in captured.err
+        assert captured.err == (
+            f"usage error: unit_scale must be finite and > 0, got {float(scale)}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -317,6 +319,28 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "exact-bigint is limited to 7n <= 2800 machines, got n = 401" in captured.err
 
+    @pytest.mark.parametrize(
+        "nodes, p, message",
+        [
+            ("200,0", "0.01", "n must be >= 1, got 0"),
+            ("200", "2", "p must lie in [0, 1], got 2.0"),
+        ],
+    )
+    def test_loss_curve_refuses_a_bad_n_or_p_before_the_first_sum(
+        self, nodes, p, message, capsys, monkeypatch
+    ):
+        calls = []
+        real = cli.replication.prob_data_loss
+        monkeypatch.setattr(
+            cli.replication, "prob_data_loss",
+            lambda n, *rest: calls.append(n) or real(n, *rest),
+        )
+        assert run(["loss-curve", "--nodes-list", nodes, "--p", p]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_loss_mc_seed_range(self, seed, capsys):
         argv = ["loss-mc", "--nodes", "3", "--p", "0.1", "--trials", "100", "--seed", str(seed)]
@@ -345,13 +369,17 @@ class TestUsageErrors:
              "expected a comma-separated integer list, got '1,x'"),
             (["storage-report", "--stages", ","], "stages must be nonempty"),
             (["fixed-points", "--seeds", "1,2"], "each seed needs 3 components, got '1,2'"),
+            (["fixed-points", "--seeds", ""], "at least one seed is required"),
+            (["fixed-points", "--seeds", "nan,0,0"],
+             "seed components must be finite, got [(nan, 0.0, 0.0)]"),
             (["lyapunov", "--iters", "1000", "--zero-band", "nan"],
              "zero_band must be > 0, got nan"),
             (["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param", "alpha",
               "--lo", "0.5", "--hi", "1.5", "--points", "200"],
              "alpha must lie in (0, 1], got 1.5"),
         ],
-        ids=["int-list-token", "empty-stages", "seed-arity", "nan-zero-band", "sweep-end"],
+        ids=["int-list-token", "empty-stages", "seed-arity", "empty-seeds", "nan-seed",
+             "nan-zero-band", "sweep-end"],
     )
     def test_refused_arguments(self, argv, message, capsys):
         params = ["--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23"]

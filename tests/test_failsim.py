@@ -26,7 +26,16 @@ from cloudalloc.failsim import (
     scenario_loss,
     verify_coefficients,
 )
-from cloudalloc.replication import BASE_COEFFS, build_placement, prob_data_loss
+from cloudalloc.replication import (
+    BASE_COEFFS,
+    LOSS_METHODS,
+    build_placement,
+    loss_curve,
+    loss_polynomial,
+    prob_data_loss,
+    prob_f_failures,
+    prob_no_loss,
+)
 
 
 class TestGroupFatal:
@@ -518,3 +527,36 @@ class TestExhaustive:
         for p in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match="p must lie in"):
                 exhaustive_loss_probability(2, p)
+
+
+# Every entry point of the loss engine and its oracles, called with (n, p);
+# the first three take no p.
+_LOSS_ENTRY_POINTS = {
+    "loss_polynomial": lambda n, p: loss_polynomial(n),
+    "prob_no_loss": lambda n, p: prob_no_loss(n, 0),
+    "FailureScenario": lambda n, p: FailureScenario(n, frozenset()),
+    "prob_f_failures": lambda n, p: prob_f_failures(n, 0, p),
+    **{
+        f"prob_data_loss[{method}]": lambda n, p, method=method: prob_data_loss(n, p, method)
+        for method in LOSS_METHODS
+    },
+    "loss_curve": lambda n, p: loss_curve([n], p),
+    "mc_estimate": lambda n, p: mc_estimate(n, p, 100),
+    "exhaustive_loss_probability": exhaustive_loss_probability,
+}
+_TAKES_P = list(_LOSS_ENTRY_POINTS)[3:]
+
+
+@pytest.mark.parametrize(
+    "name, n, p, message",
+    [(name, 0, 0.1, "n must be >= 1, got 0") for name in _LOSS_ENTRY_POINTS]
+    + [
+        (name, 2, p, f"p must lie in [0, 1], got {p}")
+        for name in _TAKES_P
+        for p in (-0.1, 1.5, math.nan)
+    ],
+)
+def test_loss_entry_points_share_the_n_and_p_rules(name, n, p, message):
+    with pytest.raises(ValueError) as exc:
+        _LOSS_ENTRY_POINTS[name](n, p)
+    assert str(exc.value) == message

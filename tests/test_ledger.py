@@ -1,6 +1,7 @@
 import pytest
 
-from cloudalloc.ledger import GIGABYTE, OutOfRangeError, allocation_report
+from cloudalloc import ledger
+from cloudalloc.ledger import GIGABYTE, allocation_report
 from cloudalloc.model import ModelParams, SystemState, step_two_user
 
 
@@ -66,6 +67,17 @@ class TestAllocationReport:
             allocation_report(p, state(1.0, (0.0, 0.0)), [5, 2], 1.0)
         with pytest.raises(ValueError, match="stages must be nonempty"):
             allocation_report(p, state(1.0, (0.0, 0.0)), [], 1.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match="stage 1 precedes the initial stage 3"):
             allocation_report(p, state(1.0, (0.0, 0.0), l=3), [1], 1.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_unit_scale_is_refused_before_the_orbit(self, scale, monkeypatch):
+        def no_orbit(*args, **kwargs):
+            raise AssertionError("the orbit was stepped")
+
+        monkeypatch.setattr(ledger, "two_user_orbit", no_orbit)
+        p = ModelParams.two_user(0.6, 1.25, 1.28)
+        with pytest.raises(ValueError) as exc:
+            allocation_report(p, state(1.0, (0.1, 0.1)), [1, 5], scale)
+        assert str(exc.value) == f"unit_scale must be finite and > 0, got {scale}"
 

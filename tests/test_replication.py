@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cloudalloc.replication import (
     BASE_COEFFS,
     LOSS_METHODS,
-    TooFewNodesError,
     build_placement,
     loss_curve,
     loss_polynomial,
@@ -118,7 +117,7 @@ class TestPlacement:
         assert list(machine_halves(plan)) == list(range(21))
 
     def test_too_few_nodes(self):
-        with pytest.raises(TooFewNodesError):
+        with pytest.raises(ValueError, match="placement requires n >= 3 nodes, got 2"):
             build_placement(2)
 
     def test_ten_nodes_has_seventy_machines(self):
