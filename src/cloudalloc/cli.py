@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -171,17 +172,8 @@ def _int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _seed_list(text: str) -> list[tuple[float, float, float]]:
-    seeds = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        comps = [float(tok) for tok in part.split(",")]
-        if len(comps) != 3:
-            raise ValueError(f"each seed needs 3 components, got {part!r}")
-        seeds.append(tuple(comps))
-    return seeds
+def _seed_list(text: str) -> list[tuple[float, ...]]:
+    return [tuple(map(float, part.split(","))) for part in text.split(";") if part.strip()]
 
 
 def _cmd_iterate(args):
@@ -339,6 +331,8 @@ def _cmd_discrepancy_report(args):
     return [report.render_discrepancy_markdown(data)]
 
 
+# parsing leaves the parser as it was, so one serves every `run` of a process
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="cloudalloc")
     sub = parser.add_subparsers(dest="subcommand", required=True)

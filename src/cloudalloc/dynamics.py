@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -95,7 +96,7 @@ _NEWTON_MAX_ITER = 200  # Newton steps per seed
 def find_fixed_points(params: ModelParams, seeds) -> list[FixedPointResult]:
     """Damped Newton search for roots of F(X) - X from each seed.
 
-    Every seed component must be finite.  A seed converges once the
+    Every seed has 3 components, each finite.  A seed converges once the
     max-norm residual drops below 1e-12 within 200 Newton steps.
     Non-converged seeds are returned with converged=False (their best
     point and residual attached), never dropped.  The Newton matrix uses
@@ -105,6 +106,9 @@ def find_fixed_points(params: ModelParams, seeds) -> list[FixedPointResult]:
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
+    for seed in seeds:
+        if len(seed) != 3:
+            raise ValueError(f"each seed needs 3 components, got {seed}")
     if not all(math.isfinite(c) for seed in seeds for c in seed):
         raise ValueError(f"seed components must be finite, got {seeds}")
 
@@ -167,12 +171,17 @@ def routh_classify(P: float, Q: float, R: float) -> RouthVerdict:
     marginal iff P, Q, R > 0 and P*Q == R
     unstable otherwise
     """
-    if P > 0.0 and Q > 0.0 and R > 0.0:
-        if P * Q > R:
-            return RouthVerdict.STABLE
-        if P * Q == R:
-            return RouthVerdict.MARGINAL
+    if _routh_test(P, Q, R):
+        return RouthVerdict.STABLE
+    if _routh_test(P, Q, R, operator.eq):
+        return RouthVerdict.MARGINAL
     return RouthVerdict.UNSTABLE
+
+
+def _routh_test(P, Q, R, compare=operator.gt):
+    """P, Q, R > 0 and compare(P*Q, R), elementwise on floats or arrays: the
+    STABLE test of `routh_classify`, or its MARGINAL test with operator.eq."""
+    return (P > 0.0) & (Q > 0.0) & (R > 0.0) & compare(P * Q, R)
 
 
 def stability_window(alpha: float, xi1: float, xi2: float) -> bool:
@@ -180,17 +189,20 @@ def stability_window(alpha: float, xi1: float, xi2: float) -> bool:
 
     Exposed on its own because it does not follow from routh_classify:
     P > 0 and Q > 0 are mutually exclusive for alpha > 0, so the Routh
-    test never returns STABLE (see tests).
+    test never returns STABLE (see tests).  Elementwise on arrays.
     """
-    return 0.0 < alpha < (xi2 - xi1) <= 1.0
+    gap = xi2 - xi1
+    return (0.0 < alpha) & (alpha < gap) & (gap <= 1.0)
 
 
 def hopf_alpha(xi1: float, xi2: float) -> float:
     """alpha solving P*Q = R (pure-imaginary root pair of the cubic):
 
         alpha = (3*(xi1 - xi2)**2 + 4*xi1*xi2) / (3*(xi1 - xi2))
+
+    Elementwise on arrays; refused wherever xi1 == xi2.
     """
-    if xi1 == xi2:
+    if np.equal(xi1, xi2).any():
         raise ValueError("hopf_alpha is undefined for xi1 == xi2")
     return (3.0 * (xi1 - xi2) ** 2 + 4.0 * xi1 * xi2) / (3.0 * (xi1 - xi2))
 

@@ -78,25 +78,20 @@ def fixed_point_section() -> dict:
 
 def routh_region_section() -> dict:
     """Grid scan showing the Routh-stable region is empty: P > 0 and Q > 0
-    are mutually exclusive for alpha > 0."""
-    # plain floats: numpy scalars would slow every coefficient and verdict
-    alphas = np.linspace(0.05, 1.0, 20).tolist()
-    xis = np.linspace(0.0, 2.0, 41).tolist()
+    are mutually exclusive for alpha > 0.  Each alpha is one (xi1, xi2)
+    plane of arrays."""
+    xis = np.linspace(0.0, 2.0, 41)
+    xi1, xi2 = xis[:, None], xis[None, :]
     stable = 0
     pq_joint = 0
     window_hits = 0
     total = 0
-    for a in alphas:
-        for x1 in xis:
-            for x2 in xis:
-                total += 1
-                P, Q, R = dynamics.characteristic_coeffs(a, x1, x2)
-                if P > 0 and Q > 0:
-                    pq_joint += 1
-                if dynamics.routh_classify(P, Q, R) is dynamics.RouthVerdict.STABLE:
-                    stable += 1
-                if dynamics.stability_window(a, x1, x2):
-                    window_hits += 1
+    for a in np.linspace(0.05, 1.0, 20).tolist():
+        P, Q, R = dynamics.characteristic_coeffs(a, xi1, xi2)
+        total += P.size
+        pq_joint += int(np.count_nonzero((P > 0.0) & (Q > 0.0)))
+        stable += int(np.count_nonzero(dynamics._routh_test(P, Q, R)))
+        window_hits += int(np.count_nonzero(dynamics.stability_window(a, xi1, xi2)))
     return {
         "grid_points": total,
         "routh_stable_count": stable,
@@ -112,20 +107,19 @@ _HOPF_EXAMPLES = 10
 
 def hopf_section() -> dict:
     """Search the xi grid for Hopf alphas inside (0, 1], contradicting the
-    blanket claim that the condition always needs |alpha| > 1."""
+    blanket claim that the condition always needs |alpha| > 1.  Each xi1
+    is one row of xi2, the diagonal xi1 == xi2 left out."""
     step = _HOPF_GRID_STEP
-    values = [round(k * step, 10) for k in range(1, int(2.0 / step) + 1)]
+    values = np.array([round(k * step, 10) for k in range(1, int(2.0 / step) + 1)])
     examples = []
     count = 0
-    for x1 in values:
-        for x2 in values:
-            if x1 == x2:
-                continue
-            a = dynamics.hopf_alpha(x1, x2)
-            if 0.0 < a <= 1.0:
-                count += 1
-                if len(examples) < _HOPF_EXAMPLES:
-                    examples.append({"xi1": x1, "xi2": x2, "alpha": a})
+    for x1 in values.tolist():
+        row = values[values != x1]
+        a = dynamics.hopf_alpha(x1, row)
+        hits = np.flatnonzero((0.0 < a) & (a <= 1.0))
+        count += hits.size
+        for j in hits[: _HOPF_EXAMPLES - len(examples)].tolist():
+            examples.append({"xi1": x1, "xi2": row[j].item(), "alpha": a[j].item()})
     return {
         "grid_step": step,
         "grid_max": 2.0,

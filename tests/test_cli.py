@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -368,7 +369,7 @@ class TestUsageErrors:
             (["storage-report", "--stages", "1,x"],
              "expected a comma-separated integer list, got '1,x'"),
             (["storage-report", "--stages", ","], "stages must be nonempty"),
-            (["fixed-points", "--seeds", "1,2"], "each seed needs 3 components, got '1,2'"),
+            (["fixed-points", "--seeds", "1,2"], "each seed needs 3 components, got (1.0, 2.0)"),
             (["fixed-points", "--seeds", ""], "at least one seed is required"),
             (["fixed-points", "--seeds", "nan,0,0"],
              "seed components must be finite, got [(nan, 0.0, 0.0)]"),
@@ -771,6 +772,64 @@ class TestDiscrepancyReport:
             "stability_window_count": 5426,
         }
 
+    def test_hopf_counterexample_count(self):
+        from cloudalloc.report import hopf_section
+
+        assert hopf_section()["counterexample_count"] == 1874
+
+    def test_grid_sections_match_a_scalar_loop(self):
+        """The array scans agree with one scalar call per grid point: the
+        coefficients, verdicts and Hopf alphas by `float.hex`, the counts and
+        the examples.  For a float `x ** 2` is libm pow and for an array
+        `x * x`, so the equality is checked, not assumed."""
+        from cloudalloc import dynamics, report
+
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
+        stable = pq_joint = window_hits = total = 0
+        xis = np.linspace(0.0, 2.0, 41)
+        for a in np.linspace(0.05, 1.0, 20).tolist():
+            coeffs = dynamics.characteristic_coeffs(a, xis[:, None], xis[None, :])
+            verdicts = [dynamics._routh_test(*coeffs), dynamics.stability_window(
+                a, xis[:, None], xis[None, :])]
+            coeffs, verdicts = [c.tolist() for c in coeffs], [v.tolist() for v in verdicts]
+            for i, x1 in enumerate(xis.tolist()):
+                for j, x2 in enumerate(xis.tolist()):
+                    total += 1
+                    P, Q, R = dynamics.characteristic_coeffs(a, x1, x2)
+                    assert hexes((P, Q, R)) == hexes(c[i][j] for c in coeffs)
+                    is_stable = dynamics.routh_classify(P, Q, R) is dynamics.RouthVerdict.STABLE
+                    in_window = dynamics.stability_window(a, x1, x2)
+                    assert [is_stable, in_window] == [v[i][j] for v in verdicts]
+                    stable += is_stable
+                    pq_joint += P > 0 and Q > 0
+                    window_hits += in_window
+        assert report.routh_region_section() == {
+            "grid_points": total,
+            "routh_stable_count": stable,
+            "p_and_q_positive_count": pq_joint,
+            "stability_window_count": window_hits,
+        }
+
+        values = [round(k * 0.01, 10) for k in range(1, 201)]
+        count, examples = 0, []
+        for x1 in values:
+            row = [x2 for x2 in values if x2 != x1]
+            alphas = [dynamics.hopf_alpha(x1, x2) for x2 in row]
+            assert hexes(alphas) == hexes(dynamics.hopf_alpha(x1, np.array(row)).tolist())
+            for x2, a in zip(row, alphas):
+                if 0.0 < a <= 1.0:
+                    count += 1
+                    if len(examples) < 10:
+                        examples.append((x1, x2, a))
+        section = report.hopf_section()
+        assert section["counterexample_count"] == count
+        assert [hexes((e["xi1"], e["xi2"], e["alpha"])) for e in section["examples"]] == [
+            hexes(e) for e in examples
+        ]
+        assert all(type(v) is float for e in section["examples"] for v in e.values())
+
 
 class TestReadmeExamples:
     def test_every_cli_example_parses(self):
@@ -788,3 +847,28 @@ class TestReadmeExamples:
         for argv in commands:
             args = parser.parse_args(argv[1:])
             assert args.subcommand == argv[1]
+
+
+class TestParserReuse:
+    def test_successive_runs_share_one_parser_and_no_options(self, capsys):
+        """`build_parser` is built once per process; no option or error of
+        one `run` reaches the next."""
+        assert cli.build_parser() is cli.build_parser()
+        it = ["iterate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--steps", "3"]
+        assert run(it + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["format"] == "json"
+        assert run(it) == 0
+        csv_text = capsys.readouterr().out
+        assert csv_text.startswith("# cloudalloc") and '"format": "csv"' in csv_text
+
+        mc = ["loss-mc", "--nodes", "3", "--p", "0.1", "--trials", "100"]
+        assert run(mc + ["--workers", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["workers"] == 2
+        assert run(mc) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["workers"] == 1
+
+        for refused in (it + ["--format", "xml"], ["iterate", "--alpha", "0.5"]):
+            assert run(refused) == 1
+            assert capsys.readouterr().err.startswith("usage error: ")
+            assert run(it) == 0
+            assert capsys.readouterr().out == csv_text

@@ -183,6 +183,12 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             find_fixed_points(params(0.5, 0.5, 0.5), [])
 
+    @pytest.mark.parametrize("seed", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_seed_needs_three_components(self, seed):
+        with pytest.raises(ValueError) as exc:
+            find_fixed_points(params(0.5, 0.5, 0.5), [(0.0, 0.0, 0.0), seed])
+        assert str(exc.value) == f"each seed needs 3 components, got {seed}"
+
     def test_overflowing_seed_is_reported_without_warnings(self):
         p = params(0.6, 1.25, 1.28)
         with warnings.catch_warnings():
@@ -248,6 +254,8 @@ class TestHopfAlpha:
     def test_equal_scales_singular(self):
         with pytest.raises(ValueError, match="undefined for xi1 == xi2"):
             hopf_alpha(0.7, 0.7)
+        with pytest.raises(ValueError, match="undefined for xi1 == xi2"):
+            hopf_alpha(0.7, np.array([0.5, 0.7]))
 
 
 class TestLyapunovSpectrum:

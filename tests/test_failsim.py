@@ -118,8 +118,6 @@ class TestScenarioLoss:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             FailureScenario(n=3, failed=frozenset({21}))
-        with pytest.raises(ValueError):
-            FailureScenario(n=0, failed=frozenset())
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -244,12 +242,6 @@ class TestMcEstimate:
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_estimate(5, 0.5, 0)
-        with pytest.raises(ValueError):
-            mc_estimate(0, 0.5, 100)
-        with pytest.raises(ValueError):
-            mc_estimate(-2, 0.5, 100)
-        with pytest.raises(ValueError):
-            mc_estimate(5, 1.5, 100)
         with pytest.raises(ValueError):
             mc_estimate(5, 0.5, 100, mode="psychic")
         with pytest.raises(ValueError):
@@ -522,11 +514,6 @@ class TestExhaustive:
             exhaustive_loss_probability(5, 0.1)
         with pytest.raises(ValueError):
             exhaustive_loss_probability(3, 0.1, "psychic")
-        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-            exhaustive_loss_probability(0, 0.1)
-        for p in (-0.1, 1.5, math.nan):
-            with pytest.raises(ValueError, match="p must lie in"):
-                exhaustive_loss_probability(2, p)
 
 
 # Every entry point of the loss engine and its oracles, called with (n, p);
@@ -549,7 +536,7 @@ _TAKES_P = list(_LOSS_ENTRY_POINTS)[3:]
 
 @pytest.mark.parametrize(
     "name, n, p, message",
-    [(name, 0, 0.1, "n must be >= 1, got 0") for name in _LOSS_ENTRY_POINTS]
+    [(name, n, 0.1, f"n must be >= 1, got {n}") for name in _LOSS_ENTRY_POINTS for n in (0, -2)]
     + [
         (name, 2, p, f"p must lie in [0, 1], got {p}")
         for name in _TAKES_P

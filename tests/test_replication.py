@@ -238,10 +238,6 @@ class TestProbNoLoss:
             prob_no_loss(3, 22)
         with pytest.raises(ValueError):
             prob_no_loss(3, -1)
-        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-            prob_no_loss(0, 0)
-        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-            loss_polynomial(0)
 
 
 class TestProbFFailures:
@@ -254,8 +250,7 @@ class TestProbFFailures:
 
     @pytest.mark.parametrize(
         "f, p, message",
-        [(0, 1.5, "p must lie in"), (0, math.nan, "p must lie in"),
-         (22, 0.1, "f must lie in"), (-1, 0.1, "f must lie in")],
+        [(22, 0.1, "f must lie in"), (-1, 0.1, "f must lie in")],
     )
     def test_range_validation(self, f, p, message):
         with pytest.raises(ValueError, match=message):
@@ -353,14 +348,6 @@ class TestProbDataLoss:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             prob_data_loss(3, 0.1, "guesswork")
-
-    @pytest.mark.parametrize(
-        "n, p, message",
-        [(0, 0.1, "n must be >= 1, got 0"), (3, math.nan, r"p must lie in \[0, 1\], got nan")],
-    )
-    def test_range_validation(self, n, p, message):
-        with pytest.raises(ValueError, match=message):
-            prob_data_loss(n, p)
 
     def test_closed_form_value_small_p(self):
         # 1 - (1 - p^3 - p^4 + p^7)^n by independent groups; p enters as the
