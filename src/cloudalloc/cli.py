@@ -201,15 +201,14 @@ def _cmd_fixed_points(args):
 
 def _cmd_lyapunov(args):
     params = _params(args)
-    dynamics._check_zero_band(args.zero_band)
+    dynamics.check_zero_band(args.zero_band)
     spec = dynamics.lyapunov_spectrum(params, _state(args), iterations=args.iters)
     attractor = dynamics.classify_attractor(spec, zero_band=args.zero_band)
     config = _config_dict(args)
     if args.format == "csv":
-        rows = (
-            (k, *h) for k, h in zip(spec._history_iterations(), spec.history, strict=True)
+        return _csv_document(
+            config, ["iteration", "lambda1", "lambda2", "lambda3"], spec.history
         )
-        return _csv_document(config, ["iteration", "lambda1", "lambda2", "lambda3"], rows)
     result = {
         "exponents": list(spec.exponents),
         "iterations": spec.iterations,

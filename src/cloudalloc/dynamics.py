@@ -1,30 +1,25 @@
-"""Stability, Lyapunov, and bifurcation analysis of the two-user map.
+"""Fixed points, Lyapunov spectra and bifurcation sweeps of the two-user map.
 
 Everything here works on the 3-vector X = (v_c, x1, x2).  numpy serves
 the one-off 3x3 linear algebra of the Newton solve and builds the sweep
 grid (`np.linspace`).  Orbits with a tangent frame -- Lyapunov spectra
 and bifurcation sweeps -- run in one plain-float kernel, `_tangent_orbit`,
 which re-orthonormalizes the frame by unrolled modified Gram-Schmidt and
-makes no per-step numpy call.
+makes no per-step numpy call.  The continuous-time stability claims
+quoted for this map (a Routh test, a Hopf condition) are not stated here:
+`report` computes them to show that they fail.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .model import DivergenceError, ModelParams, SystemState, step_two_user_raw, two_user_orbit
-
-
-class RouthVerdict(Enum):
-    STABLE = "stable"
-    UNSTABLE = "unstable"
-    MARGINAL = "marginal"
 
 
 class AttractorClass(Enum):
@@ -151,62 +146,6 @@ def find_fixed_points(params: ModelParams, seeds) -> list[FixedPointResult]:
     return results
 
 
-def characteristic_coeffs(alpha: float, xi1: float, xi2: float) -> tuple[float, float, float]:
-    """Cubic coefficients (P, Q, R) of the linearization about the
-    transformed second equilibrium:
-
-        P = -(alpha - xi1 + xi2),  Q = 1.5*alpha*(xi2 - xi1),  R = 2*alpha*xi1*xi2
-    """
-    return (
-        -(alpha - xi1 + xi2),
-        1.5 * alpha * (xi2 - xi1),
-        2.0 * alpha * xi1 * xi2,
-    )
-
-
-def routh_classify(P: float, Q: float, R: float) -> RouthVerdict:
-    """Mechanical Routh test on lambda^3 + P lambda^2 + Q lambda + R.
-
-    stable   iff P, Q, R > 0 and P*Q > R
-    marginal iff P, Q, R > 0 and P*Q == R
-    unstable otherwise
-    """
-    if _routh_test(P, Q, R):
-        return RouthVerdict.STABLE
-    if _routh_test(P, Q, R, operator.eq):
-        return RouthVerdict.MARGINAL
-    return RouthVerdict.UNSTABLE
-
-
-def _routh_test(P, Q, R, compare=operator.gt):
-    """P, Q, R > 0 and compare(P*Q, R), elementwise on floats or arrays: the
-    STABLE test of `routh_classify`, or its MARGINAL test with operator.eq."""
-    return (P > 0.0) & (Q > 0.0) & (R > 0.0) & compare(P * Q, R)
-
-
-def stability_window(alpha: float, xi1: float, xi2: float) -> bool:
-    """The separately quoted linear-stability window 0 < alpha < xi2 - xi1 <= 1.
-
-    Exposed on its own because it does not follow from routh_classify:
-    P > 0 and Q > 0 are mutually exclusive for alpha > 0, so the Routh
-    test never returns STABLE (see tests).  Elementwise on arrays.
-    """
-    gap = xi2 - xi1
-    return (0.0 < alpha) & (alpha < gap) & (gap <= 1.0)
-
-
-def hopf_alpha(xi1: float, xi2: float) -> float:
-    """alpha solving P*Q = R (pure-imaginary root pair of the cubic):
-
-        alpha = (3*(xi1 - xi2)**2 + 4*xi1*xi2) / (3*(xi1 - xi2))
-
-    Elementwise on arrays; refused wherever xi1 == xi2.
-    """
-    if np.equal(xi1, xi2).any():
-        raise ValueError("hopf_alpha is undefined for xi1 == xi2")
-    return (3.0 * (xi1 - xi2) ** 2 + 4.0 * xi1 * xi2) / (3.0 * (xi1 - xi2))
-
-
 # iterations between the running estimates of a Lyapunov history
 _HISTORY_STRIDE = 100
 
@@ -215,21 +154,17 @@ _HISTORY_STRIDE = 100
 class LyapunovSpectrum:
     """Benettin-style exponent estimates in nats per iteration.
 
-    `history` holds the running estimate every 100 iterations (each entry
-    sorted descending); its final entry equals `exponents`."""
+    `history` holds the running estimate as (iteration, l1, l2, l3), the
+    exponents sorted descending, every 100 iterations and at `iterations`;
+    its final entry is (iterations, *exponents)."""
 
     exponents: tuple[float, float, float]
     iterations: int
-    history: tuple[tuple[float, float, float], ...]
+    history: tuple[tuple[int, float, float, float], ...]
 
     @property
     def largest(self) -> float:
         return self.exponents[0]
-
-    def _history_iterations(self) -> list[int]:
-        """The iteration count of each `history` entry: every stride short
-        of `iterations`, then `iterations` itself."""
-        return [*range(_HISTORY_STRIDE, self.iterations, _HISTORY_STRIDE), self.iterations]
 
 
 def _tangent_orbit(
@@ -238,7 +173,7 @@ def _tangent_orbit(
     transient: int,
     samples: int,
     iterations: int,
-) -> tuple[list[float], tuple[float, float, float], list[tuple[float, float, float]]]:
+) -> tuple[list[float], list[tuple[int, float, float, float]]]:
     """The one orbit + tangent-frame kernel of the two-user map, in plain floats.
 
     Runs `transient + samples` raw stages from s0 and keeps v_c of the last
@@ -246,9 +181,10 @@ def _tangent_orbit(
     frame (Benettin et al., Meccanica 15, 1980).  Each stage maps the frame
     columns q_j by the Jacobian at the current state and re-orthonormalizes
     them by modified Gram-Schmidt, whose stretch factors r_jj equal |R_jj|
-    of a QR factorization.  Returns (v samples, the three log-stretch sums,
-    the running means sums/k every _HISTORY_STRIDE stages before the last,
-    in column order).
+    of a QR factorization.  Returns (v samples, means): means holds
+    (k, s1/k, s2/k, s3/k), the log-stretch sums in column order averaged
+    over the first k stages, every _HISTORY_STRIDE stages and at
+    k == iterations, so its last entry is the final estimate.
 
     All three phases read one `two_user_orbit` generator, so the state
     step and its bound test are written once, and DivergenceError carries
@@ -318,9 +254,9 @@ def _tangent_orbit(
         q13, q23, q33 = m1 / r, m2 / r, m3 / r
 
         _, v, x1, x2 = step()
-        if k % _HISTORY_STRIDE == 0 and k < iterations:
-            means.append((s1 / k, s2 / k, s3 / k))
-    return v_samples, (s1, s2, s3), means
+        if k % _HISTORY_STRIDE == 0 or k == iterations:
+            means.append((k, s1 / k, s2 / k, s3 / k))
+    return v_samples, means
 
 
 def lyapunov_spectrum(
@@ -336,16 +272,14 @@ def lyapunov_spectrum(
     a few dozen stages.  The work is done by `_tangent_orbit` in plain
     floats, with no per-step numpy call.
     """
-    _, sums, means = _tangent_orbit(params, s0, 0, 0, iterations)
-    history = [tuple(sorted(m, reverse=True)) for m in means]
-    exponents = tuple(sorted((s / iterations for s in sums), reverse=True))
-    history.append(exponents)
+    _, means = _tangent_orbit(params, s0, 0, 0, iterations)
+    history = tuple((k, *sorted(m, reverse=True)) for k, *m in means)
     return LyapunovSpectrum(
-        exponents=exponents, iterations=iterations, history=tuple(history)
+        exponents=history[-1][1:], iterations=iterations, history=history
     )
 
 
-def _check_zero_band(zero_band: float) -> None:
+def check_zero_band(zero_band: float) -> None:
     """The band of `classify_attractor` must be > 0; NaN is refused, inf is
     allowed.  `cli lyapunov` checks it before computing the spectrum."""
     if not zero_band > 0.0:
@@ -360,7 +294,7 @@ def classify_attractor(
     zero_band sets how close to zero still counts as 'zero'; there is no
     canonical threshold, 0.01 nats/iteration is the working default.
     """
-    _check_zero_band(zero_band)
+    check_zero_band(zero_band)
     top = spectrum.largest
     if top > zero_band:
         return AttractorClass.CHAOTIC
@@ -388,11 +322,11 @@ class BifurcationScan:
 
 def _with_swept(base: ModelParams, name: str, value: float) -> ModelParams:
     if name == "alpha":
-        return replace(base, alpha=value)
+        return ModelParams(alpha=value, xi=base.xi)
     if name == "xi1":
-        return replace(base, xi=(value, base.xi2))
+        return ModelParams(alpha=base.alpha, xi=(value, base.xi2))
     if name == "xi2":
-        return replace(base, xi=(base.xi1, value))
+        return ModelParams(alpha=base.alpha, xi=(base.xi1, value))
     raise ValueError(f"unknown sweep parameter {name!r}; expected one of {SWEEPABLE}")
 
 
@@ -433,12 +367,10 @@ def bifurcation_scan(
     for value in grid:
         p = ends[value] if value in ends else _with_swept(base_params, param, value)
         try:
-            v_samples, sums, _ = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
+            v_samples, means = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
         except DivergenceError as exc:
             gp = GridPointResult(value, (), math.nan, True, exc.stage)
         else:
-            gp = GridPointResult(
-                value, tuple(v_samples), max(sums) / lyap_iterations, False, None
-            )
+            gp = GridPointResult(value, tuple(v_samples), max(means[-1][1:]), False, None)
         results.append(gp)
     return BifurcationScan(points=tuple(results))

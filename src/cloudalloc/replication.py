@@ -146,12 +146,12 @@ def render_plan(plan: PlacementPlan) -> str:
 
 
 # The input rules of the loss engine, shared by its oracles in failsim.
-def _check_nodes(n: int) -> None:
+def check_nodes(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
-def _check_probability(p: float) -> None:
+def check_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
@@ -166,7 +166,7 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
     k c_k = sum_{j=1..5} ((n + 1) j - k) a_j c_{k-j}.  The division by k
     is exact because a_0 = 1, and is checked.
     """
-    _check_nodes(n)
+    check_nodes(n)
     deg = len(BASE_COEFFS) - 1
     coeffs = [1]
     for k in range(1, deg * n + 1):
@@ -183,7 +183,7 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
 def prob_no_loss(n: int, f: int) -> float:
     """Probability that f uniformly random machine failures destroy no half:
     coeff(x^f) / C(7n, f) for f <= 5n, zero beyond (exact ratio, floated)."""
-    _check_nodes(n)
+    check_nodes(n)
     if not 0 <= f <= MACHINES_PER_NODE * n:
         raise ValueError(f"f must lie in [0, {MACHINES_PER_NODE * n}], got {f}")
     if f > 5 * n:
@@ -195,8 +195,8 @@ def prob_no_loss(n: int, f: int) -> float:
 def prob_f_failures(n: int, f: int, p: float) -> float:
     """Binomial probability of exactly f failures among 7n machines: the
     weight that pairs with `prob_no_loss` in the loss sum (test reference)."""
-    _check_nodes(n)
-    _check_probability(p)
+    check_nodes(n)
+    check_probability(p)
     m = MACHINES_PER_NODE * n
     if not 0 <= f <= m:
         raise ValueError(f"f must lie in [0, {m}], got {f}")
@@ -289,7 +289,7 @@ def _closed_form_loss(n: int, p: float) -> LossResult:
     return LossResult(p_loss=float(1 - survive**n))
 
 
-def prob_data_loss(n: int, p: float, method: str = "exact-bigint") -> LossResult:
+def prob_data_loss(n: int, p: float, method: str) -> LossResult:
     """Probability that random machine failures (each machine independently
     fails with probability p) destroy every copy of some data half.
 
@@ -306,8 +306,8 @@ def prob_data_loss(n: int, p: float, method: str = "exact-bigint") -> LossResult
     Both float results of the exact routes are correctly rounded values of
     the same rational, so exact-bigint and closed-form agree bit for bit.
     """
-    _check_nodes(n)
-    _check_probability(p)
+    check_nodes(n)
+    check_probability(p)
     if method == "exact-bigint":
         return _exact_loss(n, p)
     if method == "log-domain":
@@ -332,9 +332,9 @@ def loss_curve(n_list, p: float) -> list[LossCurveRow]:
     if not n_list:
         raise ValueError("n_list must be nonempty")
     for n in n_list:
-        _check_nodes(n)
+        check_nodes(n)
         _check_exact_bigint_budget(n)
-    _check_probability(p)
+    check_probability(p)
     return [
         LossCurveRow(
             n=n,

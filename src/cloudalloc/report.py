@@ -11,11 +11,10 @@ is reconciled by fiat.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import dynamics, failsim, ledger, replication
+from .ledger import GIGABYTE, MEGABYTE
 from .model import ModelParams, SystemState
 
 # Quoted loss-table values (failure probability p = 0.01, random policy),
@@ -35,16 +34,41 @@ REFERENCE_LOSS_TABLE = {
 # (owner, user1, user2) in bytes, decimal units.
 ALLOCATION_PARAMS = (0.6, 1.25, 1.28)
 REFERENCE_ALLOCATION_TABLE = {
-    1: (480 * ledger.MEGABYTE, 12.29 * ledger.MEGABYTE, 13 * ledger.MEGABYTE),
-    10: (369 * ledger.MEGABYTE, 103 * ledger.MEGABYTE, 102.76 * ledger.MEGABYTE),
-    20: (3.5 * ledger.GIGABYTE, 1.16 * ledger.GIGABYTE, 1.169 * ledger.GIGABYTE),
-    200: (10.45 * ledger.GIGABYTE, 1.73 * ledger.GIGABYTE, 5.03 * ledger.GIGABYTE),
-    365: (7.07 * ledger.GIGABYTE, 4.02 * ledger.GIGABYTE, 123.5 * ledger.MEGABYTE),
+    1: (480 * MEGABYTE, 12.29 * MEGABYTE, 13 * MEGABYTE),
+    10: (369 * MEGABYTE, 103 * MEGABYTE, 102.76 * MEGABYTE),
+    20: (3.5 * GIGABYTE, 1.16 * GIGABYTE, 1.169 * GIGABYTE),
+    200: (10.45 * GIGABYTE, 1.73 * GIGABYTE, 5.03 * GIGABYTE),
+    365: (7.07 * GIGABYTE, 4.02 * GIGABYTE, 123.5 * MEGABYTE),
 }
 
 # The claimed non-origin fixed point is (1, -alpha/(2 xi1), alpha/(2 xi2));
 # these are the parameter values it is usually quoted with.
 CLAIMED_POINT_PARAMS = (0.6, 1.25, 1.28)
+
+
+# The continuous-time stability tools quoted for this map, which is discrete:
+# the cubic of its linearization, the Routh test, and the Hopf condition.
+def characteristic_coeffs(alpha, xi1, xi2):
+    """(P, Q, R) of the cubic quoted for the transformed second equilibrium."""
+    return (-(alpha - xi1 + xi2), 1.5 * alpha * (xi2 - xi1), 2.0 * alpha * xi1 * xi2)
+
+
+def routh_stable(P, Q, R):
+    """Routh test on lambda^3 + P lambda^2 + Q lambda + R, elementwise."""
+    return (P > 0.0) & (Q > 0.0) & (R > 0.0) & (P * Q > R)
+
+
+def stability_window(alpha, xi1, xi2):
+    """The quoted window 0 < alpha < xi2 - xi1 <= 1, elementwise."""
+    gap = xi2 - xi1
+    return (0.0 < alpha) & (alpha < gap) & (gap <= 1.0)
+
+
+def hopf_alpha(xi1, xi2):
+    """alpha solving P*Q = R, elementwise; refused wherever xi1 == xi2."""
+    if np.any(xi1 == xi2):
+        raise ValueError("hopf_alpha is undefined for xi1 == xi2")
+    return (3.0 * (xi1 - xi2) ** 2 + 4.0 * xi1 * xi2) / (3.0 * (xi1 - xi2))
 
 
 def claimed_point(params: ModelParams) -> dict:
@@ -82,16 +106,13 @@ def routh_region_section() -> dict:
     plane of arrays."""
     xis = np.linspace(0.0, 2.0, 41)
     xi1, xi2 = xis[:, None], xis[None, :]
-    stable = 0
-    pq_joint = 0
-    window_hits = 0
-    total = 0
+    stable = pq_joint = window_hits = total = 0
     for a in np.linspace(0.05, 1.0, 20).tolist():
-        P, Q, R = dynamics.characteristic_coeffs(a, xi1, xi2)
+        P, Q, R = characteristic_coeffs(a, xi1, xi2)
         total += P.size
         pq_joint += int(np.count_nonzero((P > 0.0) & (Q > 0.0)))
-        stable += int(np.count_nonzero(dynamics._routh_test(P, Q, R)))
-        window_hits += int(np.count_nonzero(dynamics.stability_window(a, xi1, xi2)))
+        stable += int(np.count_nonzero(routh_stable(P, Q, R)))
+        window_hits += int(np.count_nonzero(stability_window(a, xi1, xi2)))
     return {
         "grid_points": total,
         "routh_stable_count": stable,
@@ -115,7 +136,7 @@ def hopf_section() -> dict:
     count = 0
     for x1 in values.tolist():
         row = values[values != x1]
-        a = dynamics.hopf_alpha(x1, row)
+        a = hopf_alpha(x1, row)
         hits = np.flatnonzero((0.0 < a) & (a <= 1.0))
         count += hits.size
         for j in hits[: _HOPF_EXAMPLES - len(examples)].tolist():
@@ -152,7 +173,7 @@ def allocation_section() -> dict:
     # alpha*v0 = 1 Gb and xi_i*x_i0 = 0.1 Gb, with 1 Gb as the model unit
     s0 = SystemState(l=0, v_c=1.0 / alpha, x=(0.1 / xi1, 0.1 / xi2))
     records = ledger.allocation_report(
-        params, s0, sorted(REFERENCE_ALLOCATION_TABLE), unit_scale=ledger.GIGABYTE
+        params, s0, sorted(REFERENCE_ALLOCATION_TABLE), unit_scale=GIGABYTE
     )
     rows = []
     for rec in records:
@@ -171,7 +192,7 @@ def allocation_section() -> dict:
     return {
         "params": {"alpha": alpha, "xi1": xi1, "xi2": xi2},
         "initial_state": {"v_c": s0.v_c, "x1": s0.x[0], "x2": s0.x[1]},
-        "unit_scale_bytes": ledger.GIGABYTE,
+        "unit_scale_bytes": GIGABYTE,
         "rows": rows,
         "reproduced": False,
     }
@@ -218,9 +239,9 @@ def build_discrepancy_report(mc_trials: int, seed: int) -> dict:
 
 
 def _fmt_bytes(value: float) -> str:
-    if abs(value) >= ledger.GIGABYTE:
-        return f"{value / ledger.GIGABYTE:.4g} Gb"
-    return f"{value / ledger.MEGABYTE:.4g} Mb"
+    if abs(value) >= GIGABYTE:
+        return f"{value / GIGABYTE:.4g} Gb"
+    return f"{value / MEGABYTE:.4g} Mb"
 
 
 def render_discrepancy_markdown(data: dict) -> str:

@@ -782,7 +782,7 @@ class TestDiscrepancyReport:
         coefficients, verdicts and Hopf alphas by `float.hex`, the counts and
         the examples.  For a float `x ** 2` is libm pow and for an array
         `x * x`, so the equality is checked, not assumed."""
-        from cloudalloc import dynamics, report
+        from cloudalloc import report
 
         def hexes(values):
             return [float(v).hex() for v in values]
@@ -790,17 +790,17 @@ class TestDiscrepancyReport:
         stable = pq_joint = window_hits = total = 0
         xis = np.linspace(0.0, 2.0, 41)
         for a in np.linspace(0.05, 1.0, 20).tolist():
-            coeffs = dynamics.characteristic_coeffs(a, xis[:, None], xis[None, :])
-            verdicts = [dynamics._routh_test(*coeffs), dynamics.stability_window(
+            coeffs = report.characteristic_coeffs(a, xis[:, None], xis[None, :])
+            verdicts = [report.routh_stable(*coeffs), report.stability_window(
                 a, xis[:, None], xis[None, :])]
             coeffs, verdicts = [c.tolist() for c in coeffs], [v.tolist() for v in verdicts]
             for i, x1 in enumerate(xis.tolist()):
                 for j, x2 in enumerate(xis.tolist()):
                     total += 1
-                    P, Q, R = dynamics.characteristic_coeffs(a, x1, x2)
+                    P, Q, R = report.characteristic_coeffs(a, x1, x2)
                     assert hexes((P, Q, R)) == hexes(c[i][j] for c in coeffs)
-                    is_stable = dynamics.routh_classify(P, Q, R) is dynamics.RouthVerdict.STABLE
-                    in_window = dynamics.stability_window(a, x1, x2)
+                    is_stable = report.routh_stable(P, Q, R)
+                    in_window = report.stability_window(a, x1, x2)
                     assert [is_stable, in_window] == [v[i][j] for v in verdicts]
                     stable += is_stable
                     pq_joint += P > 0 and Q > 0
@@ -816,8 +816,8 @@ class TestDiscrepancyReport:
         count, examples = 0, []
         for x1 in values:
             row = [x2 for x2 in values if x2 != x1]
-            alphas = [dynamics.hopf_alpha(x1, x2) for x2 in row]
-            assert hexes(alphas) == hexes(dynamics.hopf_alpha(x1, np.array(row)).tolist())
+            alphas = [report.hopf_alpha(x1, x2) for x2 in row]
+            assert hexes(alphas) == hexes(report.hopf_alpha(x1, np.array(row)).tolist())
             for x2, a in zip(row, alphas):
                 if 0.0 < a <= 1.0:
                     count += 1

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import warnings
 
@@ -9,18 +10,13 @@ from cloudalloc import dynamics
 from cloudalloc.dynamics import (
     AttractorClass,
     LyapunovSpectrum,
-    RouthVerdict,
     bifurcation_scan,
-    characteristic_coeffs,
     classify_attractor,
     find_fixed_points,
-    hopf_alpha,
     jacobian_at,
     lyapunov_spectrum,
     map_residual,
     map_vector,
-    routh_classify,
-    stability_window,
 )
 from cloudalloc.model import (
     DIVERGENCE_BOUND,
@@ -31,6 +27,7 @@ from cloudalloc.model import (
     step_two_user,
     step_two_user_raw,
 )
+from cloudalloc.report import characteristic_coeffs, hopf_alpha, routh_stable, stability_window
 
 S0 = SystemState(l=0, v_c=0.01, x=(0.01, -0.01))
 # the four regimes of the benchmark's orbit workload
@@ -210,24 +207,14 @@ class TestCharacteristicCubic:
         assert characteristic_coeffs(0.0, 0.4, 0.1) == pytest.approx((0.3, 0.0, 0.0))
 
     def test_routh_stable(self):
-        assert routh_classify(0.1, 0.2, 0.01) is RouthVerdict.STABLE
+        assert routh_stable(0.1, 0.2, 0.01)
 
     def test_routh_unstable_from_substitution(self):
-        assert routh_classify(-0.8, 0.225, 0.1) is RouthVerdict.UNSTABLE
+        assert not routh_stable(-0.8, 0.225, 0.1)
 
     def test_routh_marginal_boundary(self):
-        assert routh_classify(0.2, 0.5, 0.1) is RouthVerdict.MARGINAL
-
-    def test_positive_p_and_q_mutually_exclusive(self):
-        # P > 0 needs xi1 > alpha + xi2 while Q > 0 needs xi2 > xi1, so the
-        # Routh-stable region is empty for every alpha > 0.
-        grid = np.linspace(0.0, 2.0, 41)
-        for alpha in np.linspace(0.05, 1.0, 20):
-            for xi1 in grid:
-                for xi2 in grid:
-                    P, Q, R = characteristic_coeffs(alpha, xi1, xi2)
-                    assert not (P > 0 and Q > 0)
-                    assert routh_classify(P, Q, R) is not RouthVerdict.STABLE
+        # P*Q == R is the boundary, not inside the stable region
+        assert not routh_stable(0.2, 0.5, 0.1)
 
 
 class TestStabilityWindow:
@@ -274,8 +261,8 @@ class TestLyapunovSpectrum:
     def test_history_tracks_and_ends_at_final(self):
         p = params(0.6, 1.28, 1.23)
         spec = lyapunov_spectrum(p, S0, iterations=1050)
-        assert spec.history[-1] == spec.exponents
-        assert len(spec.history) == 1050 // 100 + 1
+        assert spec.history[-1] == (1050, *spec.exponents)
+        assert [h[0] for h in spec.history] == [*range(100, 1050, 100), 1050]
 
     def test_exponent_sum_equals_mean_log_jacobian_determinant(self):
         p = params(0.6, 1.28, 1.23)
@@ -298,7 +285,7 @@ class TestLyapunovSpectrum:
         for p, (ref_history, stage) in zip(plist, refs):
             assert stage is None
             spec = lyapunov_spectrum(p, S0, iterations=10_000)
-            assert_histories_close(spec.history, ref_history, 1e-12)
+            assert_histories_close([h[1:] for h in spec.history], ref_history, 1e-12)
 
     def test_annihilated_tangent_column(self):
         # xi1 = 0 (xi2 = 0) zeroes the Jacobian's second (third) column, so
@@ -319,7 +306,7 @@ class TestLyapunovSpectrum:
 
 class TestClassifyAttractor:
     def spectrum(self, exps):
-        return LyapunovSpectrum(exponents=exps, iterations=1000, history=(exps,))
+        return LyapunovSpectrum(exponents=exps, iterations=1000, history=((1000, *exps),))
 
     def test_all_negative_is_regular(self):
         spec = self.spectrum((-0.2, -0.5, -1.0))
@@ -469,6 +456,16 @@ class TestBifurcationScan:
         for lo, hi in ((0.1, math.inf), (-math.inf, 0.9), (math.nan, 0.9), (0.1, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 bifurcation_scan(params(0.5, 1.28, 1.23), "xi1", lo, hi, 2, S0)
+
+    def test_scale_sum_warning_names_the_sweep(self):
+        # every xi1 of this grid leaves -xi1 + xi2 above 1; each grid point's
+        # ModelParams is built in dynamics, so that is where its warning points
+        with pytest.warns(UserWarning, match="alternating scale sum") as record:
+            bifurcation_scan(
+                params(0.5, 0.1, 1.23), "xi1", 0.0, 0.2, 3, S0,
+                transient=10, samples=2, lyap_iterations=1000,
+            )
+        assert [os.path.basename(w.filename) for w in record] == ["dynamics.py"] * 3
 
     def count_orbits(self, monkeypatch):
         calls = []

@@ -445,12 +445,12 @@ class TestExhaustive:
     def test_single_group_matches_exact_formula(self):
         for p in (0.2, 0.7):
             assert exhaustive_loss_probability(1, p) == pytest.approx(
-                prob_data_loss(1, p).p_loss, rel=1e-12
+                prob_data_loss(1, p, "exact-bigint").p_loss, rel=1e-12
             )
 
     def test_two_groups_match_exact_formula(self):
         assert exhaustive_loss_probability(2, 0.3) == pytest.approx(
-            prob_data_loss(2, 0.3).p_loss, rel=1e-12
+            prob_data_loss(2, 0.3, "exact-bigint").p_loss, rel=1e-12
         )
 
     def test_modes_classify_scenarios_differently(self):

@@ -361,7 +361,7 @@ class TestProbDataLoss:
 class TestLossCurve:
     def test_single_row_matches_point_computation(self):
         (row,) = loss_curve([10], 0.01)
-        assert row.p_loss_exact == prob_data_loss(10, 0.01).p_loss
+        assert row.p_loss_exact == prob_data_loss(10, 0.01, "exact-bigint").p_loss
         assert row.p_loss_closed_form == prob_data_loss(10, 0.01, "closed-form").p_loss
 
     def test_zero_probability_curve(self):
