@@ -359,10 +359,10 @@ def bifurcation_scan(
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, points).tolist()
-    # The grid's ends are lo and hi exactly, and every ModelParams check
-    # admits an interval of the swept value, so valid ends make the whole
-    # grid valid: build them first, and a bad range fails before any orbit.
-    ends = {value: _with_swept(base_params, param, value) for value in (grid[0], grid[-1])}
+    # Every ModelParams check admits an interval of the swept value, so
+    # valid lo and hi make the whole grid valid: build them first, and a bad
+    # range fails before any orbit.  The grid's ends are lo and hi exactly.
+    ends = {value: _with_swept(base_params, param, value) for value in (lo, hi)}
     results = []
     for value in grid:
         p = ends[value] if value in ends else _with_swept(base_params, param, value)

@@ -6,14 +6,16 @@ user-rack), data is lost iff all four owner machines fail or all three
 user machines fail.  That family is a reconstruction -- it is the unique
 monotone family whose per-size survivor counts reproduce the published
 coefficient list -- and `verify_coefficients` re-derives the counts by
-exhaustive enumeration to pin it down.
+exhaustive enumeration of one group to pin it down.
 
 Each scenario mode is a hosting-set family of n quadruples and n triples
 (`_hosting_sets`): the groups, or the hosts of each node's half A and B in
 a PlacementPlan, which shares machines across blocks, so single scenarios
-may disagree (measured, never assumed away).  Monte Carlo and exhaustive
-enumeration feed boolean failure blocks, random or enumerated, to one
-predicate (`_lost_rows`): some set failed completely."""
+may disagree (measured, never assumed away).  Monte Carlo, exhaustive
+enumeration and the coefficient check feed boolean failure blocks, random
+or enumerated, to one predicate (`_lost_rows`): some set failed
+completely.  `scenario_loss` is its row-by-row reference, a set-inclusion
+test over the same family."""
 
 from __future__ import annotations
 
@@ -27,16 +29,12 @@ import numpy as np
 
 from .replication import (
     MACHINES_PER_NODE,
-    PlacementPlan,
     build_placement,
     check_nodes,
     check_probability,
     owner_machine_ids,
     user_machine_ids,
 )
-
-OWNER_LOCAL_IDS = frozenset(range(0, 4))
-USER_LOCAL_IDS = frozenset(range(4, 7))
 
 SCENARIO_MODES = ("group", "structural")
 
@@ -65,22 +63,6 @@ _BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
-class FailureScenario:
-    """An explicit set of failed machine ids out of the 7n in a cluster."""
-
-    n: int
-    failed: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "failed", frozenset(self.failed))
-        check_nodes(self.n)
-        m = MACHINES_PER_NODE * self.n
-        bad = [i for i in self.failed if not 0 <= i < m]
-        if bad:
-            raise ValueError(f"machine ids {bad} outside 0..{m - 1}")
-
-
-@dataclass(frozen=True)
 class McEstimate:
     n: int
     p: float
@@ -91,71 +73,6 @@ class McEstimate:
     half_width_95: float    # Wald (normal approximation); 0 at p_hat 0 or 1
     ci95_low: float         # Wilson score interval
     ci95_high: float
-
-
-def group_fatal(failed_in_group) -> bool:
-    """Whether a failure subset of one 7-machine group destroys a half.
-
-    Local ids 0-3 are the owner-rack machines of the group, 4-6 the
-    user-rack machines; the group is fatal iff one of those two sides
-    failed completely.
-    """
-    failed = frozenset(failed_in_group)
-    if not all(0 <= i < MACHINES_PER_NODE for i in failed):
-        raise ValueError(f"local ids must lie in 0..6, got {sorted(failed)}")
-    return OWNER_LOCAL_IDS <= failed or USER_LOCAL_IDS <= failed
-
-
-def verify_coefficients() -> tuple[int, ...]:
-    """Non-fatal failure-subset counts of one group, by subset size.
-
-    Enumerates all 2^7 subsets; the result must equal the survival
-    coefficients (1, 7, 21, 34, 30, 12, 0, 0) for the generating
-    polynomial to describe this fatal-set family.
-    """
-    counts = [0] * (MACHINES_PER_NODE + 1)
-    for mask in range(1 << MACHINES_PER_NODE):
-        subset = {i for i in range(MACHINES_PER_NODE) if mask >> i & 1}
-        if not group_fatal(subset):
-            counts[len(subset)] += 1
-    return tuple(counts)
-
-
-def _group_local_ids(n: int, block: int, failed: frozenset[int]) -> set[int]:
-    local = set()
-    for local_id, machine_id in enumerate(
-        owner_machine_ids(block) + user_machine_ids(n, block)
-    ):
-        if machine_id in failed:
-            local.add(local_id)
-    return local
-
-
-def scenario_loss(
-    scenario: FailureScenario, mode: str = "group", plan: PlacementPlan | None = None
-) -> bool:
-    """Classify one failure scenario as data loss or not.
-
-    group:      machines partition into n independent groups of 7 (owner
-                block i + user block i); loss iff any group is fatal.
-    structural: loss iff some (node, half) has every hosting machine of
-                the placement failed.
-    """
-    if mode == "group":
-        return any(
-            group_fatal(_group_local_ids(scenario.n, i, scenario.failed))
-            for i in range(1, scenario.n + 1)
-        )
-    if mode == "structural":
-        if plan is None:
-            plan = build_placement(scenario.n)
-        elif plan.n != scenario.n:
-            raise ValueError(f"plan is for n={plan.n}, scenario for n={scenario.n}")
-        return any(
-            all(m in scenario.failed for m in hosts)
-            for hosts in plan.half_hosts().values()
-        )
-    raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
 
 
 def _hosting_sets(n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -177,6 +94,23 @@ def _hosting_sets(n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
     return np.array(quads), np.array(triples)
+
+
+def scenario_loss(n: int, failed, mode: str) -> bool:
+    """Whether one failure scenario, the machine ids in `failed`, loses
+    data: some hosting set of the mode lies inside it.  The row-by-row
+    reference for `_lost_rows`, by plain set inclusion."""
+    check_nodes(n)
+    failed = frozenset(failed)
+    m = MACHINES_PER_NODE * n
+    bad = [i for i in failed if not 0 <= i < m]
+    if bad:
+        raise ValueError(f"machine ids {bad} outside 0..{m - 1}")
+    return any(
+        failed.issuperset(hosts)
+        for sets in _hosting_sets(n, mode)
+        for hosts in sets.tolist()
+    )
 
 
 def _member_columns(sets: np.ndarray) -> list[slice | np.ndarray]:
@@ -317,21 +251,26 @@ def mc_estimate(
     )
 
 
-def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
-    """Exact loss probability by enumerating all 2^(7n) failure scenarios.
+def verify_coefficients() -> tuple[int, ...]:
+    """Non-fatal failure-subset counts of one group, by subset size.
+
+    Enumerates all 2^7 subsets of the group through `_lost_rows`; the
+    result must equal the survival coefficients (1, 7, 21, 34, 30, 12, 0, 0)
+    for the generating polynomial to describe this fatal-set family.
+    """
+    lost = _loss_counts(1, "group")
+    return tuple(math.comb(MACHINES_PER_NODE, f) - int(c) for f, c in enumerate(lost))
+
+
+def _loss_counts(n: int, mode: str) -> np.ndarray:
+    """Per f, how many of the 2^(7n) failure scenarios with f failed
+    machines lose data.
 
     Scenarios stream in column-major boolean blocks of 2^16 rows: the rows
     enumerate the failures of the first 16 machines, and each block fixes
     the rest to the bits of its index.  `_lost_rows`, the Monte Carlo
-    predicate, marks the lost rows; a scenario with f failed machines
-    weighs p^f (1-p)^(7n-f), the per-f loss counts are accumulated once
-    and the final sum is exact (rational).  Cost is exponential -- n <= 4
-    (2^28 scenarios, a few seconds) is the intended desk scale.
+    predicate, marks the lost rows.
     """
-    check_nodes(n)
-    if n > 4:
-        raise ValueError(f"exhaustive enumeration is limited to n <= 4, got {n}")
-    check_probability(p)
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
     m = MACHINES_PER_NODE * n
     low = min(_BLOCK_BITS, m)
@@ -348,7 +287,23 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
         counts += np.bincount(
             low_fails[_lost_rows(failed, families)] + high_fails, minlength=m + 1
         )
+    return counts
 
+
+def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
+    """Exact loss probability by enumerating all 2^(7n) failure scenarios.
+
+    `_loss_counts` counts the lost scenarios per number f of failed
+    machines; a scenario with f failed machines weighs p^f (1-p)^(7n-f),
+    and the final sum is exact (rational).  Cost is exponential -- n <= 4
+    (2^28 scenarios, a few seconds) is the intended desk scale.
+    """
+    check_nodes(n)
+    if n > 4:
+        raise ValueError(f"exhaustive enumeration is limited to n <= 4, got {n}")
+    check_probability(p)
+    counts = _loss_counts(n, mode)
+    m = MACHINES_PER_NODE * n
     fp = Fraction(p)
     total = sum(
         int(c) * fp**f * (1 - fp) ** (m - f) for f, c in enumerate(counts) if c

@@ -192,7 +192,6 @@ def allocation_section() -> dict:
     return {
         "params": {"alpha": alpha, "xi1": xi1, "xi2": xi2},
         "initial_state": {"v_c": s0.v_c, "x1": s0.x[0], "x2": s0.x[1]},
-        "unit_scale_bytes": GIGABYTE,
         "rows": rows,
         "reproduced": False,
     }

@@ -378,9 +378,13 @@ class TestUsageErrors:
             (["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param", "alpha",
               "--lo", "0.5", "--hi", "1.5", "--points", "200"],
              "alpha must lie in (0, 1], got 1.5"),
+            # a one-point grid is just lo; hi is still checked
+            (["bifurcate", "--alpha", "0.5", "--xi1", "1.28", "--xi2", "1.23", "--param",
+              "alpha", "--lo", "0.5", "--hi", "7", "--points", "1", "--lyap-iters", "1000"],
+             "alpha must lie in (0, 1], got 7.0"),
         ],
         ids=["int-list-token", "empty-stages", "seed-arity", "empty-seeds", "nan-seed",
-             "nan-zero-band", "sweep-end"],
+             "nan-zero-band", "sweep-end", "one-point-sweep-end"],
     )
     def test_refused_arguments(self, argv, message, capsys):
         params = ["--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23"]

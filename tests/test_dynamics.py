@@ -482,15 +482,18 @@ class TestBifurcationScan:
             bifurcation_scan(params(0.5, 0.1, 0.1), "alpha", lo, hi, 200, S0)
         assert calls == []
 
-    def test_single_point_grid_checks_only_lo(self, monkeypatch):
-        # with one point the grid is [lo], so an out-of-range hi is never swept
+    def test_single_point_grid_sweeps_lo_and_checks_hi(self, monkeypatch):
+        # with one point the grid is [lo]; an out-of-range hi is still refused
         calls = self.count_orbits(monkeypatch)
         scan = bifurcation_scan(
-            params(0.5, 0.1, 0.1), "alpha", 0.5, 1.5, 1, S0,
+            params(0.5, 0.1, 0.1), "alpha", 0.5, 0.9, 1, S0,
             transient=100, samples=5, lyap_iterations=1000,
         )
         assert [gp.value for gp in scan.points] == [0.5]
         assert [p.alpha for p in calls] == [0.5]
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got 1.5$"):
+            bifurcation_scan(params(0.5, 0.1, 0.1), "alpha", 0.5, 1.5, 1, S0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("window", [{"samples": 0}, {"samples": -5}, {"transient": -50}])
     def test_empty_sample_window_rejected(self, window):

@@ -14,14 +14,12 @@ from cloudalloc import failsim
 from cloudalloc.failsim import (
     _SLAB_CELLS,
     SCENARIO_MODES,
-    FailureScenario,
     McEstimate,
     _failed_slabs,
     _hosting_sets,
     _lost_rows,
     _member_columns,
     exhaustive_loss_probability,
-    group_fatal,
     mc_estimate,
     scenario_loss,
     verify_coefficients,
@@ -32,33 +30,36 @@ from cloudalloc.replication import (
     build_placement,
     loss_curve,
     loss_polynomial,
+    owner_machine_ids,
     prob_data_loss,
     prob_f_failures,
     prob_no_loss,
+    user_machine_ids,
 )
 
 
 class TestGroupFatal:
+    # one group: owner machines 0-3, user machines 4-6
     def test_user_triple_is_fatal(self):
-        assert group_fatal({4, 5, 6})
+        assert scenario_loss(1, {4, 5, 6}, "group")
 
     def test_owner_quadruple_is_fatal(self):
-        assert group_fatal({0, 1, 2, 3})
+        assert scenario_loss(1, {0, 1, 2, 3}, "group")
 
     def test_any_two_failures_survive(self):
         for pair in itertools.combinations(range(7), 2):
-            assert not group_fatal(set(pair))
+            assert not scenario_loss(1, pair, "group")
 
     def test_all_seven_fatal(self):
-        assert group_fatal(set(range(7)))
+        assert scenario_loss(1, range(7), "group")
 
     def test_mixed_triple_survives(self):
-        assert not group_fatal({0, 1, 2})
-        assert not group_fatal({3, 4, 5})
+        assert not scenario_loss(1, {0, 1, 2}, "group")
+        assert not scenario_loss(1, {3, 4, 5}, "group")
 
     def test_local_id_validation(self):
-        with pytest.raises(ValueError):
-            group_fatal({7})
+        with pytest.raises(ValueError, match=r"^machine ids \[7\] outside 0\.\.6$"):
+            scenario_loss(1, {7}, "group")
 
 
 class TestVerifyCoefficients:
@@ -77,20 +78,16 @@ class TestVerifyCoefficients:
 
 class TestScenarioLoss:
     def test_empty_failure_set(self):
-        s = FailureScenario(n=3, failed=frozenset())
-        assert not scenario_loss(s, "group")
-        assert not scenario_loss(s, "structural")
+        assert not scenario_loss(3, (), "group")
+        assert not scenario_loss(3, (), "structural")
 
     def test_one_group_user_triple_lost(self):
         plan = build_placement(3)
-        user_ids = plan.user_blocks[1].machine_ids
-        s = FailureScenario(n=3, failed=frozenset(user_ids))
-        assert scenario_loss(s, "group")
+        assert scenario_loss(3, plan.user_blocks[1].machine_ids, "group")
 
     def test_owner_quadruple_lost(self):
         plan = build_placement(3)
-        s = FailureScenario(n=3, failed=frozenset(plan.owner_blocks[0].machine_ids))
-        assert scenario_loss(s, "group")
+        assert scenario_loss(3, plan.owner_blocks[0].machine_ids, "group")
 
     def test_both_primary_machines_alone_survive_structurally(self):
         plan = build_placement(3)
@@ -100,28 +97,33 @@ class TestScenarioLoss:
             if i in hosts[(1, "A")] + hosts[(1, "B")]
         ]
         assert len(primaries) == 2
-        s = FailureScenario(n=3, failed=frozenset(primaries))
-        assert not scenario_loss(s, "structural", plan)
+        assert not scenario_loss(3, primaries, "structural")
 
     def test_all_hosts_of_one_half_lost_structurally(self):
         plan = build_placement(3)
-        hosts = plan.half_hosts()[(2, "B")]
-        s = FailureScenario(n=3, failed=frozenset(hosts))
-        assert scenario_loss(s, "structural", plan)
-
-    def test_plan_node_count_must_match(self):
-        plan = build_placement(4)
-        s = FailureScenario(n=3, failed=frozenset())
-        with pytest.raises(ValueError):
-            scenario_loss(s, "structural", plan)
+        assert scenario_loss(3, plan.half_hosts()[(2, "B")], "structural")
 
     def test_scenario_validation(self):
-        with pytest.raises(ValueError):
-            FailureScenario(n=3, failed=frozenset({21}))
+        with pytest.raises(ValueError, match=r"^machine ids \[21\] outside 0\.\.20$"):
+            scenario_loss(3, {21}, "group")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            scenario_loss(FailureScenario(n=3, failed=frozenset()), "psychic")
+            scenario_loss(3, (), "psychic")
+
+    @pytest.mark.parametrize(
+        "n, mode", [(1, "group"), (3, "group"), (3, "structural"), (5, "structural")]
+    )
+    def test_lost_rows_matches_the_reference_row_by_row(self, n, mode):
+        # 4096 random scenarios at a p where both outcomes are common
+        families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
+        kernel, reference = [], []
+        for f in _failed_slabs(7, 0, 4096, 7 * n, 0.4):
+            kernel += _lost_rows(f, families).tolist()
+            reference += [scenario_loss(n, np.flatnonzero(row).tolist(), mode) for row in f]
+        assert len(kernel) == 4096
+        assert 0 < sum(reference) < 4096
+        assert kernel == reference
 
 
 class TestHostingSets:
@@ -165,6 +167,22 @@ class TestHostingSets:
             assert quads.shape == (n, 4) and triples.shape == (n, 3)
             members = np.concatenate([quads.ravel(), triples.ravel()])
             assert sorted(members.tolist()) == list(range(m))
+
+        # row i - 1 of each mode names node i's sets, in the plan's order
+        quads, triples = _hosting_sets(n, "structural")
+        assert quads.tolist() == [list(hosts[(i, "A")]) for i in range(1, n + 1)]
+        assert triples.tolist() == [list(hosts[(i, "B")]) for i in range(1, n + 1)]
+        quads, triples = _hosting_sets(n, "group")
+        assert quads.tolist() == [list(b.machine_ids) for b in plan.owner_blocks]
+        assert triples.tolist() == [list(b.machine_ids) for b in plan.user_blocks]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_group_sets_below_the_placement_minimum(self, n):
+        # no plan exists for n < 3; the groups are the blocks' machine ids
+        quads, triples = _hosting_sets(n, "group")
+        nodes = range(1, n + 1)
+        assert quads.tolist() == [list(owner_machine_ids(i)) for i in nodes]
+        assert triples.tolist() == [list(user_machine_ids(n, i)) for i in nodes]
 
 
 def _assert_wilson_ends(est):
@@ -457,12 +475,12 @@ class TestExhaustive:
         # the structural hosting sets cross block boundaries, so individual
         # scenarios flip class between the two modes
         plan = build_placement(3)
-        owner_block = FailureScenario(n=3, failed=frozenset(plan.owner_blocks[0].machine_ids))
-        assert scenario_loss(owner_block, "group")
-        assert not scenario_loss(owner_block, "structural", plan)
-        half_hosts = FailureScenario(n=3, failed=frozenset(plan.half_hosts()[(1, "A")]))
-        assert not scenario_loss(half_hosts, "group")
-        assert scenario_loss(half_hosts, "structural", plan)
+        owner_block = plan.owner_blocks[0].machine_ids
+        assert scenario_loss(3, owner_block, "group")
+        assert not scenario_loss(3, owner_block, "structural")
+        half_hosts = plan.half_hosts()[(1, "A")]
+        assert not scenario_loss(3, half_hosts, "group")
+        assert scenario_loss(3, half_hosts, "structural")
 
     def test_mode_probabilities_agree_exactly(self):
         # measured, not assumed: each machine hosts exactly one half, so the
@@ -521,7 +539,7 @@ class TestExhaustive:
 _LOSS_ENTRY_POINTS = {
     "loss_polynomial": lambda n, p: loss_polynomial(n),
     "prob_no_loss": lambda n, p: prob_no_loss(n, 0),
-    "FailureScenario": lambda n, p: FailureScenario(n, frozenset()),
+    "scenario_loss": lambda n, p: scenario_loss(n, (), "group"),
     "prob_f_failures": lambda n, p: prob_f_failures(n, 0, p),
     **{
         f"prob_data_loss[{method}]": lambda n, p, method=method: prob_data_loss(n, p, method)
