@@ -50,8 +50,8 @@ LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 
 # The exact-bigint sum's operands reach m log2(d) bits (d the denominator
 # of p), and binary splitting hands its big products to Karatsuba, so its
-# time grows about as m^1.7: 0.026 s at n = 400 and 0.12 s at n = 1000 for
-# p = 0.0103, but 1.1-2.0 s at n = 400 for p = 1e-300 or 5e-324, where d
+# time grows about as m^1.7: 0.019 s at n = 400 and 0.09 s at n = 1000 for
+# p = 0.0103, but 0.7-1.2 s at n = 400 for p = 1e-300 or 5e-324, where d
 # has about 1000 bits (shared 2-vCPU machine, Python 3.11).  Every n the
 # report and the acceptance gate use (<= 200) stays inside the budget.
 _EXACT_BIGINT_MAX_MACHINES = 7 * 400
@@ -167,16 +167,20 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
     is exact because a_0 = 1, and is checked.
     """
     check_nodes(n)
-    deg = len(BASE_COEFFS) - 1
+    # The j-sum unrolled over the five base coefficients, with a window
+    # c1..c5 = c_{k-1}..c_{k-5} that is zero before c_0.
+    _, a1, a2, a3, a4, a5 = BASE_COEFFS
+    n1 = n + 1
+    c1, c2, c3, c4, c5 = 1, 0, 0, 0, 0
     coeffs = [1]
-    for k in range(1, deg * n + 1):
-        s = 0
-        for j in range(1, min(k, deg) + 1):
-            s += ((n + 1) * j - k) * BASE_COEFFS[j] * coeffs[k - j]
+    for k in range(1, 5 * n + 1):
+        s = ((n1 - k) * a1 * c1 + (2 * n1 - k) * a2 * c2 + (3 * n1 - k) * a3 * c3
+             + (4 * n1 - k) * a4 * c4 + (5 * n1 - k) * a5 * c5)
         c, r = divmod(s, k)
         if r:
             raise ArithmeticError(f"inexact Miller step at n={n}, k={k}")
         coeffs.append(c)
+        c1, c2, c3, c4, c5 = c, c1, c2, c3, c4
     return tuple(coeffs)
 
 
@@ -227,18 +231,34 @@ def _loss_weights(n: int):
         comb = comb * (m - f) // (f + 1)
 
 
-def _split_sum(weights, a: int, b: int, length: int) -> tuple[int, int, int]:
+def _split_sum(weights, a: int, b: int, length: int) -> int:
     """Binary splitting of T = sum_i w_i a^i b^(length-1-i) over the next
-    `length` items of the iterator `weights`: returns (T, a^length,
-    b^length).  Halves combine as T = T_left b^len_right + a^len_left T_right,
-    so the big products pair operands of similar size; the leaves draw their
-    weights in order, so no list of them is kept."""
-    if length == 1:
-        return next(weights), a, b
-    half = length // 2
-    t_left, a_left, b_left = _split_sum(weights, a, b, half)
-    t_right, a_right, b_right = _split_sum(weights, a, b, length - half)
-    return t_left * b_right + a_left * t_right, a_left * a_right, b_left * b_right
+    `length` items of the iterator `weights`.  Halves combine as
+    T = T_left b^len_right + a^len_left T_right, so the big products pair
+    operands of similar size; the leaves draw their weights in order, so no
+    list of them is kept.
+
+    The sublengths of one tree level take at most two values, so each power
+    is built once per call: a^k and b^k sit in per-call dicts keyed by k,
+    filled by halving k, whose halves are again lengths of the tree.  Only
+    the a^len_left and b^len_right the combines use are built; the root's
+    a^length and b^length never are."""
+    a_pow, b_pow = {1: a}, {1: b}
+
+    def power(memo: dict[int, int], k: int) -> int:
+        if k not in memo:
+            memo[k] = power(memo, k // 2) * power(memo, k - k // 2)
+        return memo[k]
+
+    def split(length: int) -> int:
+        if length == 1:
+            return next(weights)
+        half = length // 2
+        t_left = split(half)
+        t_right = split(length - half)
+        return t_left * power(b_pow, length - half) + power(a_pow, half) * t_right
+
+    return split(length)
 
 
 def _exact_loss(n: int, p: float) -> LossResult:
@@ -250,7 +270,7 @@ def _exact_loss(n: int, p: float) -> LossResult:
     m = MACHINES_PER_NODE * n
     fp = Fraction(p)
     a, d = fp.numerator, fp.denominator
-    total, _, _ = _split_sum(_loss_weights(n), a, d - a, m - 2)
+    total = _split_sum(_loss_weights(n), a, d - a, m - 2)
     return LossResult(p_loss=total * a**3 / d**m)
 
 

@@ -126,6 +126,21 @@ class TestScenarioLoss:
         assert kernel == reference
 
 
+class TestRackFailure:
+    @pytest.mark.parametrize("n", range(3, 61))
+    def test_the_placement_survives_a_whole_rack(self, n):
+        # machines 0..4n-1 form the owner rack, 4n..7n-1 the user rack
+        owner_rack, user_rack = range(4 * n), range(4 * n, 7 * n)
+        for half, ids in build_placement(n).half_hosts().items():
+            assert any(i in owner_rack for i in ids), half
+            assert any(i in user_rack for i in ids), half
+        assert not scenario_loss(n, owner_rack, "structural")
+        assert not scenario_loss(n, user_rack, "structural")
+        # a group keeps its quadruple on one rack and its triple on the other
+        assert scenario_loss(n, owner_rack, "group")
+        assert scenario_loss(n, user_rack, "group")
+
+
 class TestHostingSets:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(3, 60))

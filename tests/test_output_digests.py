@@ -54,6 +54,9 @@ ARGV = [
     ["placement", "--nodes", "4"],
     ["placement", "--nodes", "4", "--format", "json"],
     ["loss-exact", "--nodes", "10", "--p", "0.0103"],
+    ["loss-exact", "--nodes", "200", "--p", "0.01"],
+    # loss 5.7e-299, still a normal float, over a denominator of about 330 bits
+    ["loss-exact", "--nodes", "57", "--p", "1e-100"],
     ["loss-curve", "--nodes-list", "1,3,10,57", "--p", "0.0103"],
     *(
         [*_MC, "--mode", mode, "--workers", str(workers)]

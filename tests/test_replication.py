@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cloudalloc.replication import (
     BASE_COEFFS,
     LOSS_METHODS,
+    _split_sum,
     build_placement,
     loss_curve,
     loss_polynomial,
@@ -202,14 +204,25 @@ class TestLossPolynomial:
         assert loss_polynomial(3)[2] == 210
 
     def test_coefficient_sums(self):
-        for n in (1, 2, 3, 5, 8, 13, 50):
-            assert sum(loss_polynomial(n)) == 105**n
+        # exact up to the exact-bigint budget: the base polynomial is 105 at
+        # x = 1, 1235 at x = 2 and -1 at x = -1
+        def at(coeffs, x):
+            value = 0
+            for c in reversed(coeffs):
+                value = value * x + c
+            return value
+
+        for n in range(1, 401):
+            coeffs = loss_polynomial(n)
+            assert at(coeffs, 1) == 105**n, n
+            assert at(coeffs, 2) == 1235**n, n
+            assert at(coeffs, -1) == (-1) ** n, n
 
     def test_length(self):
         assert len(loss_polynomial(7)) == 36
 
     def test_matches_convolution_oracle(self):
-        for n in range(1, 61):
+        for n in (*range(1, 61), 100):
             assert loss_polynomial(n) == convolution_power(n), n
 
     def test_coefficients_bounded_by_binomials(self):
@@ -217,6 +230,20 @@ class TestLossPolynomial:
             coeffs = loss_polynomial(n)
             for f, c in enumerate(coeffs):
                 assert c <= math.comb(7 * n, f)
+
+
+class TestSplitSum:
+    @pytest.mark.parametrize(
+        "a, b", [(0, 5), (3, 0), (0, 0), (7, 7), (2**53 - 1, 2**53 + 1), (1, 102)]
+    )
+    def test_equals_the_direct_sum(self, a, b):
+        rng = random.Random(a ^ b)
+        for length in range(1, 131):
+            weights = [rng.randrange(2**64) for _ in range(length)]
+            direct = sum(w * a**i * b ** (length - 1 - i) for i, w in enumerate(weights))
+            it = iter(weights)
+            assert _split_sum(it, a, b, length) == direct, length
+            assert next(it, None) is None
 
 
 class TestProbNoLoss:
