@@ -39,8 +39,9 @@ from .replication import (
 SCENARIO_MODES = ("group", "structural")
 
 # Trials are generated in fixed-size chunks; chunk c of a run reads the
-# Philox stream `key=seed, jumped c times`, so trial t's outcome depends only
-# on (seed, t // CHUNK, t % CHUNK) -- never on worker count or total trials.
+# Philox stream `key=seed` from counter c * 2**128, the state `jumped(c)`
+# reaches, opened there directly, so trial t's outcome depends only on
+# (seed, t // CHUNK, t % CHUNK) -- never on worker count or total trials.
 _CHUNK_TRIALS = 4096
 # A chunk's machine-trial cells are the uint16 view of one sequential
 # `random_raw` stream, four cells per 64-bit word, read row-major as the
@@ -50,8 +51,10 @@ _CHUNK_TRIALS = 4096
 # it.
 _SLAB_CELLS = 1 << 16
 # A cell equal to the threshold (a tie) draws a double, in row-major order,
-# from the chunk's stream advanced by 2**127: half way to the next chunk's
-# jump of 2**128, so disjoint from the cell words of every chunk.
+# from a second stream opened at the chunk's counter + 2**127 (the state
+# `jumped(c).advance(2**127)` reaches): half way to the next chunk's counter,
+# so disjoint from the cell words of every chunk.  A slab without a tie draws
+# nothing from it.
 _TIE_ADVANCE = 2**127
 _Z95 = 1.96
 # The caller and each pool thread run one strided share of the chunks, so a
@@ -146,10 +149,9 @@ def _failed_slabs(seed: int, chunk: int, rows: int, machines: int, p: float):
     fails with probability p to within 2^-69, never at p = 0 and always at
     p = 1 (head = 2^16).
     """
-    cells_source = np.random.Philox(key=seed).jumped(chunk)
-    ties = np.random.Generator(
-        np.random.Philox(key=seed).jumped(chunk).advance(_TIE_ADVANCE)
-    )
+    counter = chunk << 128
+    cells_source = np.random.Philox(key=seed, counter=counter)
+    ties = np.random.Generator(np.random.Philox(key=seed, counter=counter + _TIE_ADVANCE))
     scaled = math.ldexp(p, 16)
     head = math.floor(scaled)
     frac = scaled - head
@@ -162,7 +164,8 @@ def _failed_slabs(seed: int, chunk: int, rows: int, machines: int, p: float):
         f = np.less(cells, head, out=failed[:r])
         if frac:
             tied = np.flatnonzero(cells == head)
-            f.flat[tied] = ties.random(tied.size) < frac
+            if tied.size:
+                f.flat[tied] = ties.random(tied.size) < frac
         yield f
 
 
@@ -274,11 +277,11 @@ def _loss_counts(n: int, mode: str) -> np.ndarray:
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
     m = MACHINES_PER_NODE * n
     low = min(_BLOCK_BITS, m)
-    rows = np.arange(1 << low)
+    rows = np.arange(1 << low, dtype=np.min_scalar_type((1 << low) - 1))
     failed = np.empty((1 << low, m), dtype=bool, order="F")
     for j in range(low):
         failed[:, j] = rows >> j & 1
-    low_fails = failed[:, :low].sum(axis=1)
+    low_fails = failed[:, :low].sum(axis=1, dtype=np.uint8)
     counts = np.zeros(m + 1, dtype=np.int64)
     for block in range(1 << (m - low)):
         for j in range(low, m):

@@ -441,6 +441,32 @@ class TestChunkKernel:
         counts = [_chunk_losses(8, 2, rows, 7 * n, p, group) for rows in range(1, 8)]
         assert counts == np.cumsum(lost[:7]).tolist()
 
+    # the chunk counter c * 2^128 fills the third of Philox's four 64-bit
+    # counter words, and 2^64 carries into the fourth
+    @pytest.mark.parametrize("chunk", [0, 1, 2**64 - 1, 2**64, 2**127])
+    def test_chunk_streams_start_where_jumps_reach(self, chunk):
+        cells = _whole_block_cells(8, chunk, 7, 10)
+        # thresholds tying with one cell at fractions k/32 read the first tie
+        # double to 5 bits
+        for k in range(1, 32):
+            p = (int(cells[6, 0]) + k / 32) * 2**-16
+            want = _whole_block_failures(cells, 8, chunk, p)
+            assert np.array_equal(_kernel_failures(8, chunk, 7, 10, p), want), (chunk, k)
+
+    def test_only_slabs_that_tie_draw_tie_doubles(self):
+        # n = 1000 runs in 8-row slabs; a value absent from the first slab
+        # and held by exactly one cell of the second
+        n, slab = 1000, 8
+        cells = _whole_block_cells(8, 2, 2 * slab, n)
+        values, counts = np.unique(cells, return_counts=True)
+        once = set(values[counts == 1].tolist())
+        head = next(v for v in cells[slab:].flat if int(v) in once)
+        assert not (cells[:slab] == head).any() and (cells == head).sum() == 1
+        for k in range(1, 32):
+            p = (int(head) + k / 32) * 2**-16
+            want = _whole_block_failures(cells, 8, 2, p)
+            assert np.array_equal(_kernel_failures(8, 2, 2 * slab, n, p), want), k
+
     def test_evenly_stepped_ids_are_read_as_views(self):
         quads, triples = _hosting_sets(10, "group")
         assert _member_columns(quads) == [slice(k, 40 + k, 4) for k in range(4)]
@@ -533,14 +559,16 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("mode", SCENARIO_MODES)
     def test_memory_is_bounded_by_the_block(self, mode):
-        # all 2^21 scenarios as uint32 masks would be 8 MiB alone
+        # all 2^21 scenarios as uint32 masks would be 8 MiB alone; the 2^16 x
+        # 21 failure block is 1.3 MiB, and int64 row ids and failure counts
+        # would add another 1 MiB
         tracemalloc.start()
         try:
             exhaustive_loss_probability(3, 0.3, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2.5 * 2**20
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

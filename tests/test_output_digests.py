@@ -63,6 +63,12 @@ ARGV = [
         for mode in ("group", "structural")
         for workers in (1, 2, 3)
     ),
+    # two chunks, the second short, in 8-row slabs
+    *(
+        ["loss-mc", "--nodes", "1000", "--p", "0.05", "--trials", "4100",
+         "--workers", str(workers)]
+        for workers in (1, 2)
+    ),
     ["verify-coefficients"],
     ["discrepancy-report", "--seed", "42", "--mc-trials", "5000"],
 ]
