@@ -8,12 +8,31 @@ which re-orthonormalizes the frame by unrolled modified Gram-Schmidt and
 makes no per-step numpy call.  The continuous-time stability claims
 quoted for this map (a Routh test, a Hopf condition) are not stated here:
 `report` computes them to show that they fail.
+
+A bifurcation sweep deals its grid points by stride over k workers, k the
+smaller of the point count and the usable CPUs: the caller computes
+`grid[0::k]`, and a child made by `os.fork` computes each `grid[w::k]` and
+sends its results back pickled through a pipe.  The sweep stays serial
+(k = 1, the same code with no fork) where `os.fork` is missing or another
+Python thread is running.  numpy's OpenBLAS keeps a native thread pool
+that `threading` does not count; OpenBLAS's own fork handler stops that
+pool before the fork (the caller has one thread again when `os.fork`
+returns), and a child never calls numpy: it runs only the plain-float
+kernel, pickle, and a watcher thread that ends the child as soon as the
+caller's end of a pipe closes, so a child outlives its caller, or the
+caller's exception, by no more than a thread switch.  Every grid point
+restarts from the same state and runs the same float operations in
+whichever process computes it, and pickle carries floats bit for bit, so
+the output does not depend on k.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -330,6 +349,93 @@ def _with_swept(base: ModelParams, name: str, value: float) -> ModelParams:
     raise ValueError(f"unknown sweep parameter {name!r}; expected one of {SWEEPABLE}")
 
 
+def _sweep_workers(points: int) -> int:
+    """Processes for a sweep of `points`: 1 where forking is unsafe or
+    impossible, else the smaller of `points` and the usable CPUs."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(points, cpus)
+
+
+def _exit_when_closed(fd: int) -> None:
+    """Block until every write end of the pipe `fd` reads from is closed,
+    then end the process."""
+    os.read(fd, 1)
+    os._exit(1)
+
+
+def _run_child(stride, w: int, fd: int, lifeline: int, alive: int) -> None:
+    """In a forked child: send stride w's results, or the exception it
+    raised, pickled through `fd`, and leave by os._exit.  The caller holds
+    the only other write end of the `lifeline` pipe (`alive`): when the
+    caller closes it or dies, a watcher thread sees the pipe close and
+    ends the child."""
+    status = 1
+    try:
+        os.close(alive)
+        threading.Thread(target=_exit_when_closed, args=(lifeline,), daemon=True).start()
+        try:
+            got = stride(w)
+        except BaseException as exc:  # the parent raises it
+            got = exc
+        with open(fd, "wb") as out:
+            pickle.dump(got, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _dealt(stride, k: int) -> list:
+    """stride(0) here, stride(1..k-1) in forked children (none at k = 1);
+    their results interleaved back into grid order.
+
+    Every child is reaped before this returns or raises.  Closing the
+    lifeline first ends the children still running, on any exception,
+    Ctrl-C included; if the caller dies instead, the kernel closes it.
+    """
+    parent = os.getpid()
+    pids, fds = [], []  # fds: the lifeline's two ends, then each child's result pipe
+    try:
+        if k > 1:
+            lifeline, alive = os.pipe()
+            fds += [lifeline, alive]
+        for w in range(1, k):
+            rfd, wfd = os.pipe()
+            fds.append(rfd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(stride, w, wfd, lifeline, alive)
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        strides = [stride(0)]
+        for pid, rfd in zip(pids, fds[2:]):
+            with open(rfd, "rb", closefd=False) as pipe:
+                try:
+                    got = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(f"sweep worker {pid} exited without a result") from None
+            if isinstance(got, BaseException):
+                raise got
+            strides.append(got)
+    except BaseException:
+        if os.getpid() != parent:  # interrupted in a child before _run_child
+            os._exit(1)
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    merged = [None] * sum(map(len, strides))
+    for w, got in enumerate(strides):
+        merged[w::k] = got
+    return merged
+
+
 def bifurcation_scan(
     base_params: ModelParams,
     param: str,
@@ -347,6 +453,21 @@ def bifurcation_scan(
     Divergent grid points are marked with the stage that left the bound,
     not fatal.  Each grid point restarts from the same s0, so results are
     independent of evaluation order.
+
+    The grid points are dealt by stride to k processes, k the smaller of
+    `points` and the usable CPUs (`os.sched_getaffinity`, else
+    `os.cpu_count`): this process computes `grid[0::k]` and a forked
+    child each `grid[w::k]`, which spreads the early-diverging points of
+    a range over all of them.  k is 1, with no fork, where `os.fork` is
+    missing or another Python thread is running, since a forked child
+    gets only the forking thread.  Every grid point's ModelParams is
+    built here before any fork, so its warnings reach the caller.  Results come back pickled, float bits
+    intact, and are merged in grid order, so every k gives the same scan
+    (a nan is then an equal-bits copy, not the `math.nan` object).
+    An exception raised for a point in a child is raised here.  Each
+    child ends itself when this process's end of a pipe closes: on any
+    exception, Ctrl-C included, this process closes it and reaps every
+    child; if it dies without raising (SIGKILL, say), the kernel does.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
@@ -363,14 +484,22 @@ def bifurcation_scan(
     # valid lo and hi make the whole grid valid: build them first, and a bad
     # range fails before any orbit.  The grid's ends are lo and hi exactly.
     ends = {value: _with_swept(base_params, param, value) for value in (lo, hi)}
-    results = []
-    for value in grid:
-        p = ends[value] if value in ends else _with_swept(base_params, param, value)
-        try:
-            v_samples, means = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
-        except DivergenceError as exc:
-            gp = GridPointResult(value, (), math.nan, True, exc.stage)
-        else:
-            gp = GridPointResult(value, tuple(v_samples), max(means[-1][1:]), False, None)
-        results.append(gp)
-    return BifurcationScan(points=tuple(results))
+    grid_params = [
+        ends[value] if value in ends else _with_swept(base_params, param, value)
+        for value in grid
+    ]
+    k = _sweep_workers(points)
+
+    def stride(w: int) -> list[GridPointResult]:
+        results = []
+        for value, p in zip(grid[w::k], grid_params[w::k]):
+            try:
+                v_samples, means = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
+            except DivergenceError as exc:
+                gp = GridPointResult(value, (), math.nan, True, exc.stage)
+            else:
+                gp = GridPointResult(value, tuple(v_samples), max(means[-1][1:]), False, None)
+            results.append(gp)
+        return results
+
+    return BifurcationScan(points=tuple(_dealt(stride, k)))

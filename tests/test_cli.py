@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -27,6 +28,19 @@ from cloudalloc.model import ModelParams, SystemState, iterate, two_user_orbit
 # row block, after its first rows have reached the output file.
 LATE_DIVERGENCE = ["iterate", "--alpha", "0.553", "--xi1", "1.191", "--xi2", "1.321",
                    "--v0", "-0.365", "--steps", "2000"]
+
+
+def live_group_members(pgid):
+    """Pids of the processes of group `pgid` that are not zombies, read
+    from Linux's /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        with contextlib.suppress(OSError):
+            stat = Path("/proc", entry, "stat").read_bytes() if entry.isdigit() else b""
+            fields = stat.rpartition(b")")[2].split()
+            if fields and int(fields[2]) == pgid and fields[0] != b"Z":
+                members.append(int(entry))
+    return members
 
 
 def read(path):
@@ -729,6 +743,76 @@ class TestAnalysisCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in proc.stdout
+
+    @staticmethod
+    def start_long_bifurcate():
+        """`bifurcate` in a new session: eight non-divergent points of 2M
+        Lyapunov stages each keep the sweep's worker processes busy for far
+        longer than any wait below."""
+        src = str(Path(cloudalloc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param",
+                "alpha", "--lo", "0.5", "--hi", "0.9", "--points", "8", "--lyap-iters", "2000000"]
+        return subprocess.Popen(
+            [sys.executable, "-m", "cloudalloc.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path}, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+
+    @staticmethod
+    def kill_group(proc):
+        """SIGKILL whatever is left of proc's session, then reap proc."""
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+    @pytest.mark.parametrize("to_group", [False, True], ids=["leader", "group"])
+    def test_bifurcate_interrupt_leaves_no_process(self, to_group):
+        proc = self.start_long_bifurcate()
+        pgid = proc.pid
+        try:
+            time.sleep(1)
+            if to_group:   # as Ctrl-C at a terminal does
+                os.killpg(pgid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            start = time.monotonic()
+            _, err = proc.communicate(timeout=30)
+            assert time.monotonic() - start < 5
+        finally:
+            if proc.poll() is None:
+                self.kill_group(proc)
+        assert proc.returncode != 0
+        assert b"KeyboardInterrupt" in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs Linux /proc and two usable CPUs, so that the sweep forks",
+    )
+    def test_bifurcate_killed_leaves_no_process(self):
+        # SIGKILL gives the leader no chance to kill its children: each must
+        # see the leader gone and end itself
+        proc = self.start_long_bifurcate()
+        pgid = proc.pid
+        try:
+            deadline = time.monotonic() + 10
+            while len(live_group_members(pgid)) < 2:   # the leader and a worker
+                assert time.monotonic() < deadline, "the sweep never forked"
+                time.sleep(0.05)
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, live_group_members(pgid)
+                time.sleep(0.05)
+        finally:
+            self.kill_group(proc)
 
     @pytest.mark.parametrize("n", [3, 10, 60])
     def test_placement_json(self, n, capsys):

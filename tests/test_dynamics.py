@@ -1,7 +1,13 @@
 import math
 import os
 import random
+import struct
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,3 +507,142 @@ class TestBifurcationScan:
             bifurcation_scan(
                 params(0.5, 1.0, 1.0), "alpha", 0.1, 0.9, 3, S0, lyap_iterations=1000, **window
             )
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def scan_bits(scan):
+    """Every float of a scan as its 8 bytes: a nan unpickled in another
+    process is not the `math.nan` object, so `==` on GridPointResult would
+    call two equal scans with a divergent point unequal."""
+    pack = struct.Struct("<d").pack
+    return [
+        (pack(gp.value), [pack(v) for v in gp.v_samples], pack(gp.lambda_max),
+         gp.divergent, gp.divergence_stage)
+        for gp in scan.points
+    ]
+
+
+def fake_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestSweepWorkers:
+    """bifurcation_scan deals grid points by stride to forked children."""
+
+    GRIDS = {
+        # (base, param, lo, hi, points): one, two and seven points; the
+        # seven-point alpha grid diverges at its first three points, and
+        # xi1 = 0 annihilates a tangent column at the first stage
+        "one": ((0.5, 1.28, 1.23), "alpha", 0.6, 0.7, 1),
+        "two": ((0.5, 1.28, 1.23), "xi2", 0.6, 1.7, 2),
+        "divergent": ((0.5, 1.28, 1.23), "alpha", 0.01, 0.3, 7),
+        "annihilated": ((0.5, 0.1, 0.5), "xi1", 0.0, 0.2, 7),
+    }
+
+    def scan(self, grid):
+        base, param, lo, hi, points = self.GRIDS[grid]
+        return bifurcation_scan(
+            params(*base), param, lo, hi, points, S0,
+            transient=200, samples=3, lyap_iterations=1000,
+        )
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_results_do_not_depend_on_the_worker_count(self, grid, monkeypatch):
+        fake_cpus(monkeypatch, 1)
+        want = self.scan(grid)
+        for cpus in (2, 3, 9):
+            fake_cpus(monkeypatch, cpus)
+            got = self.scan(grid)
+            assert scan_bits(got) == scan_bits(want)
+            assert_no_children()
+        if grid == "divergent":
+            assert [gp.divergent for gp in want.points] == [True] * 3 + [False] * 4
+        if grid == "annihilated":
+            assert want.points[0].value == 0.0 and not want.points[0].divergent
+
+    def test_child_exception_is_raised_in_the_caller(self, monkeypatch):
+        caller, real = os.getpid(), dynamics._tangent_orbit
+
+        def orbit(p, *args):
+            if os.getpid() != caller:
+                raise ZeroDivisionError(os.getpid())
+            return real(p, *args)
+
+        monkeypatch.setattr(dynamics, "_tangent_orbit", orbit)
+        fake_cpus(monkeypatch, 3)
+        with pytest.raises(ZeroDivisionError) as err:
+            self.scan("divergent")
+        assert err.value.args[0] != caller   # it was raised in a child
+        assert_no_children()
+
+    def test_interrupt_in_the_callers_stride_ends_every_child(self, monkeypatch):
+        caller, real = os.getpid(), dynamics._tangent_orbit
+
+        def orbit(p, *args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)   # a child would hold the caller for a minute
+            return real(p, *args)
+
+        monkeypatch.setattr(dynamics, "_tangent_orbit", orbit)
+        fake_cpus(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.scan("divergent")
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_serial_without_fork_or_with_another_thread(self, monkeypatch):
+        fake_cpus(monkeypatch, 1)
+        want = scan_bits(self.scan("divergent"))
+        fake_cpus(monkeypatch, 3)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert dynamics._sweep_workers(7) == 1
+            assert scan_bits(self.scan("divergent")) == want
+        finally:
+            release.set()
+            other.join()
+        monkeypatch.delattr(os, "fork")
+        assert dynamics._sweep_workers(7) == 1
+        assert scan_bits(self.scan("divergent")) == want
+
+    def test_worker_count_follows_usable_cpus(self, monkeypatch):
+        fake_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert [dynamics._sweep_workers(n) for n in (1, 2, 7)] == [1, 2, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert dynamics._sweep_workers(400) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert dynamics._sweep_workers(400) == 1
+
+    def test_a_scan_loads_no_process_pool(self):
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from cloudalloc.dynamics import bifurcation_scan\n"
+            "from cloudalloc.model import ModelParams, SystemState\n"
+            "s0 = SystemState(l=0, v_c=0.01, x=(0.01, -0.01))\n"
+            "bifurcation_scan(ModelParams.two_user(0.5, 1.28, 1.23), 'alpha', 0.01, 0.3, 4,"
+            " s0, 200, 3, 1000)\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
