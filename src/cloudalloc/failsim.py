@@ -20,13 +20,12 @@ test over the same family."""
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import strides
 from .replication import (
     MACHINES_PER_NODE,
     build_placement,
@@ -57,8 +56,8 @@ _SLAB_CELLS = 1 << 16
 # nothing from it.
 _TIE_ADVANCE = 2**127
 _Z95 = 1.96
-# The caller and each pool thread run one strided share of the chunks, so a
-# pool never holds more tasks than threads; more workers than this are refused.
+# `workers` caps the processes that run strided shares of the chunks; a cap
+# above this is refused as a usage error, whatever the usable CPUs.
 _MAX_WORKERS = 64
 # Exhaustive enumeration walks the 2^(7n) scenarios in blocks of
 # 2^_BLOCK_BITS rows; the block size bounds memory, never the result.
@@ -204,11 +203,11 @@ def mc_estimate(
 
     Each of the 7n machines fails independently with probability p per
     trial.  Trials are deterministic functions of (seed, trial index), so
-    the estimate is identical for any worker count; workers (at most 64)
-    only spread the fixed trial chunks over strided shares: the calling
-    thread runs the first, a pool thread each other.  half_width_95 is the
-    95% normal (Wald) half-width; ci95_low and ci95_high are the 95% Wilson
-    score interval, which stays open at p_hat 0 and 1.
+    the estimate is identical for any worker count: `workers` (1..64) only
+    caps the processes that `strides` deals strided shares of the trial
+    chunks to.  half_width_95 is the 95% normal (Wald) half-width;
+    ci95_low and ci95_high are the 95% Wilson score interval, which stays
+    open at p_hat 0 and 1.
     """
     check_nodes(n)
     if trials < 1:
@@ -222,29 +221,17 @@ def mc_estimate(
     machines = MACHINES_PER_NODE * n
 
     n_chunks = (trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
-    stop = threading.Event()  # set on any exception; each stride ends at its next chunk
+    k = strides.width(min(workers, n_chunks))
 
-    def run_stride(first: int) -> int:
+    def stride(w: int) -> int:
         losses = 0
-        try:
-            for c in range(first, n_chunks, workers):
-                if stop.is_set():
-                    break  # a partial sum is never read: the exception reaches the caller
-                rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
-                for f in _failed_slabs(seed, c, rows, machines, p):
-                    losses += int(np.count_nonzero(_lost_rows(f, families)))
-        except BaseException:
-            stop.set()
-            raise
+        for c in range(w, n_chunks, k):
+            rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
+            for f in _failed_slabs(seed, c, rows, machines, p):
+                losses += int(np.count_nonzero(_lost_rows(f, families)))
         return losses
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            strides = [pool.submit(run_stride, w) for w in range(1, min(workers, n_chunks))]
-            losses = run_stride(0) + sum(s.result() for s in strides)
-        finally:
-            stop.set()  # after a clean finish, every stride has returned
-
+    losses = sum(strides.deal(stride, k))
     p_hat = losses / trials
     half_width = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     low, high = _wilson_95(losses, trials)

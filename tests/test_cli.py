@@ -366,10 +366,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("workers", ["0", "65"])
     def test_loss_mc_worker_bound(self, workers, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+        def no_fork():
+            raise AssertionError("forked")
 
-        monkeypatch.setattr(cli.failsim, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(9)), raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
         argv = ["loss-mc", "--nodes", "3", "--p", "0.1", "--trials", "100",
                 "--workers", workers]
         assert run(argv) == 1
@@ -744,15 +745,20 @@ class TestAnalysisCommands:
         assert proc.returncode == 0, proc.stderr
         assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in proc.stdout
 
+    # Both callers of the fork driver, each busy for far longer than any
+    # wait below: eight non-divergent sweep points of 2M Lyapunov stages
+    # each, and 40M Monte Carlo trials
+    LONG_ARGVS = (
+        ["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param", "alpha",
+         "--lo", "0.5", "--hi", "0.9", "--points", "8", "--lyap-iters", "2000000"],
+        ["loss-mc", "--nodes", "10", "--p", "0.1", "--trials", "40000000", "--workers", "2"],
+    )
+
     @staticmethod
-    def start_long_bifurcate():
-        """`bifurcate` in a new session: eight non-divergent points of 2M
-        Lyapunov stages each keep the sweep's worker processes busy for far
-        longer than any wait below."""
+    def start_long(argv):
+        """The command `argv` in a new session."""
         src = str(Path(cloudalloc.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        argv = ["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param",
-                "alpha", "--lo", "0.5", "--hi", "0.9", "--points", "8", "--lyap-iters", "2000000"]
         return subprocess.Popen(
             [sys.executable, "-m", "cloudalloc.cli", *argv],
             env={**os.environ, "PYTHONPATH": path}, start_new_session=True,
@@ -768,51 +774,53 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("to_group", [False, True], ids=["leader", "group"])
     def test_bifurcate_interrupt_leaves_no_process(self, to_group):
-        proc = self.start_long_bifurcate()
-        pgid = proc.pid
-        try:
-            time.sleep(1)
-            if to_group:   # as Ctrl-C at a terminal does
-                os.killpg(pgid, signal.SIGINT)
-            else:
-                proc.send_signal(signal.SIGINT)
-            start = time.monotonic()
-            _, err = proc.communicate(timeout=30)
-            assert time.monotonic() - start < 5
-        finally:
-            if proc.poll() is None:
-                self.kill_group(proc)
-        assert proc.returncode != 0
-        assert b"KeyboardInterrupt" in err
-        with pytest.raises(ProcessLookupError):
-            os.killpg(pgid, 0)
+        for argv in self.LONG_ARGVS:
+            proc = self.start_long(argv)
+            pgid = proc.pid
+            try:
+                time.sleep(1)
+                if to_group:   # as Ctrl-C at a terminal does
+                    os.killpg(pgid, signal.SIGINT)
+                else:
+                    proc.send_signal(signal.SIGINT)
+                start = time.monotonic()
+                _, err = proc.communicate(timeout=30)
+                assert time.monotonic() - start < 5, argv[0]
+            finally:
+                if proc.poll() is None:
+                    self.kill_group(proc)
+            assert proc.returncode != 0
+            assert b"KeyboardInterrupt" in err
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/stat") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs Linux /proc and two usable CPUs, so that the sweep forks",
+        reason="needs Linux /proc and two usable CPUs, so that the commands fork",
     )
     def test_bifurcate_killed_leaves_no_process(self):
         # SIGKILL gives the leader no chance to kill its children: each must
         # see the leader gone and end itself
-        proc = self.start_long_bifurcate()
-        pgid = proc.pid
-        try:
-            deadline = time.monotonic() + 10
-            while len(live_group_members(pgid)) < 2:   # the leader and a worker
-                assert time.monotonic() < deadline, "the sweep never forked"
-                time.sleep(0.05)
-            proc.kill()
-            proc.wait(timeout=10)
-            deadline = time.monotonic() + 10
-            while True:
-                try:
-                    os.killpg(pgid, 0)
-                except ProcessLookupError:
-                    break
-                assert time.monotonic() < deadline, live_group_members(pgid)
-                time.sleep(0.05)
-        finally:
-            self.kill_group(proc)
+        for argv in self.LONG_ARGVS:
+            proc = self.start_long(argv)
+            pgid = proc.pid
+            try:
+                deadline = time.monotonic() + 10
+                while len(live_group_members(pgid)) < 2:   # the leader and a worker
+                    assert time.monotonic() < deadline, f"{argv[0]} never forked"
+                    time.sleep(0.05)
+                proc.kill()
+                proc.wait(timeout=10)
+                deadline = time.monotonic() + 10
+                while True:
+                    try:
+                        os.killpg(pgid, 0)
+                    except ProcessLookupError:
+                        break
+                    assert time.monotonic() < deadline, (argv[0], live_group_members(pgid))
+                    time.sleep(0.05)
+            finally:
+                self.kill_group(proc)
 
     @pytest.mark.parametrize("n", [3, 10, 60])
     def test_placement_json(self, n, capsys):

@@ -4,7 +4,6 @@ import random
 import struct
 import subprocess
 import sys
-import threading
 import time
 import warnings
 from pathlib import Path
@@ -565,21 +564,6 @@ class TestSweepWorkers:
         if grid == "annihilated":
             assert want.points[0].value == 0.0 and not want.points[0].divergent
 
-    def test_child_exception_is_raised_in_the_caller(self, monkeypatch):
-        caller, real = os.getpid(), dynamics._tangent_orbit
-
-        def orbit(p, *args):
-            if os.getpid() != caller:
-                raise ZeroDivisionError(os.getpid())
-            return real(p, *args)
-
-        monkeypatch.setattr(dynamics, "_tangent_orbit", orbit)
-        fake_cpus(monkeypatch, 3)
-        with pytest.raises(ZeroDivisionError) as err:
-            self.scan("divergent")
-        assert err.value.args[0] != caller   # it was raised in a child
-        assert_no_children()
-
     def test_interrupt_in_the_callers_stride_ends_every_child(self, monkeypatch):
         caller, real = os.getpid(), dynamics._tangent_orbit
 
@@ -597,48 +581,22 @@ class TestSweepWorkers:
         assert time.monotonic() - start < 30
         assert_no_children()
 
-    def test_serial_without_fork_or_with_another_thread(self, monkeypatch):
-        fake_cpus(monkeypatch, 1)
-        want = scan_bits(self.scan("divergent"))
-        fake_cpus(monkeypatch, 3)
-
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert dynamics._sweep_workers(7) == 1
-            assert scan_bits(self.scan("divergent")) == want
-        finally:
-            release.set()
-            other.join()
-        monkeypatch.delattr(os, "fork")
-        assert dynamics._sweep_workers(7) == 1
-        assert scan_bits(self.scan("divergent")) == want
-
-    def test_worker_count_follows_usable_cpus(self, monkeypatch):
-        fake_cpus(monkeypatch, 3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert [dynamics._sweep_workers(n) for n in (1, 2, 7)] == [1, 2, 3]
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert dynamics._sweep_workers(400) == 64
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert dynamics._sweep_workers(400) == 1
-
     def test_a_scan_loads_no_process_pool(self):
+        # neither caller of the fork driver loads a process pool, a thread pool
+        # or logging
         src = str(Path(dynamics.__file__).resolve().parents[1])
         code = (
             "import os, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import cloudalloc.cli\n"
             "from cloudalloc.dynamics import bifurcation_scan\n"
             "from cloudalloc.model import ModelParams, SystemState\n"
             "s0 = SystemState(l=0, v_c=0.01, x=(0.01, -0.01))\n"
-            "bifurcation_scan(ModelParams.two_user(0.5, 1.28, 1.23), 'alpha', 0.01, 0.3, 4,"
+            "bifurcation_scan(ModelParams.two_user(0.5, 1.28, 1.23), 'alpha', 0.01, 0.3, 2,"
             " s0, 200, 3, 1000)\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+            "assert cloudalloc.cli.run(['loss-mc', '--nodes', '3', '--p', '0.1', '--trials',"
+            " '10000', '--workers', '2', '--out', os.devnull]) == 0\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'logging'} & set(sys.modules)))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(

@@ -1,8 +1,9 @@
 import itertools
 import math
-import threading
+import os
+import select
+import time
 import tracemalloc
-from concurrent.futures import Executor, Future
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,16 @@ def _assert_wilson_ends(est):
         )
 
 
+def fake_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestMcEstimate:
     def test_p_zero_exact(self):
         est = mc_estimate(5, 0.0, 10_000, seed=1)
@@ -284,11 +295,12 @@ class TestMcEstimate:
             with pytest.raises(ValueError, match=message):
                 mc_estimate(5, 0.5, 100, seed=seed)
 
-    def test_workers_above_the_bound_are_refused_before_any_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+    def test_workers_above_the_bound_are_refused_before_any_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
 
-        monkeypatch.setattr(failsim, "ThreadPoolExecutor", no_pool)
+        fake_cpus(monkeypatch, 9)
+        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(ValueError, match=r"workers must lie in 1\.\.64, got 65"):
             mc_estimate(5, 0.5, 100, workers=65)
 
@@ -296,54 +308,65 @@ class TestMcEstimate:
         "workers, chunks, tasks", [(3, 100, 3), (3, 2, 2), (64, 1, 1), (1, 100, 1)]
     )
     def test_one_strided_task_per_worker(self, workers, chunks, tasks, monkeypatch):
-        pools = []
+        real, forks = os.fork, []
 
-        class InlineExecutor(Executor):
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.tasks = []
-                pools.append(self)
+        def counted_fork():
+            forks.append(None)
+            return real()
 
-            def submit(self, fn, *args):
-                self.tasks.append(args)
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(failsim, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "fork", counted_fork)
         trials = (chunks - 1) * 4096 + 5
-        est = mc_estimate(3, 0.3, trials, seed=4, workers=workers)
-        [pool] = pools
-        assert pool.max_workers == workers
-        # the caller runs stride 0 itself; the pool gets the others
-        assert pool.tasks == [(w,) for w in range(1, tasks)]
-        assert est == mc_estimate(3, 0.3, trials, seed=4, workers=1)
+        want = mc_estimate(3, 0.3, trials, seed=4, workers=1)
+        assert forks == []
+        # the caller runs share 0 itself, a child each other; workers caps
+        # the shares, and so do the usable CPUs
+        for cpus in (64, 2):
+            fake_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert mc_estimate(3, 0.3, trials, seed=4, workers=workers) == want
+            assert len(forks) == min(tasks, cpus) - 1
+            assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 9])
+    @pytest.mark.parametrize(
+        "n, p, mode",
+        [(1000, 0.05, "group"), (10, 0.0, "group"), (10, 1.0, "structural"), (4, 0.2, "structural")],
+    )
+    def test_estimate_does_not_depend_on_the_cpu_count(self, n, p, mode, cpus, monkeypatch):
+        # four chunks, the last one short; n = 1000 streams 8-row slabs
+        trials = 3 * 4096 + 5
+        want = mc_estimate(n, p, trials, seed=5, mode=mode)
+        fake_cpus(monkeypatch, cpus)
+        assert mc_estimate(n, p, trials, seed=5, mode=mode, workers=9) == want
+        assert_no_children()
 
     def test_a_raising_stride_stops_the_others_within_a_chunk(self, monkeypatch):
         class Interrupt(BaseException):
             """Like KeyboardInterrupt, not an Exception."""
 
-        real = failsim._failed_slabs
-        started, raised = threading.Event(), threading.Event()
-        stride_one_chunks = []
+        caller, real = os.getpid(), failsim._failed_slabs
+        started, tell = os.pipe()
 
         def slabs(seed, chunk, rows, machines, p):
-            if chunk % 2:
-                stride_one_chunks.append(chunk)
-            if chunk == 1:  # stride 1's first chunk waits for stride 0 to raise
-                started.set()
-                assert raised.wait(timeout=30)
-            elif chunk == 2:  # stride 0's second chunk
-                assert started.wait(timeout=30)
-                raised.set()
+            if os.getpid() != caller:  # the child's first chunk never ends
+                os.write(tell, b"!")
+                time.sleep(60)
+            elif chunk == 2:  # the caller's second chunk, once the child is in its first
+                assert select.select([started], [], [], 30)[0]
                 raise Interrupt
             return real(seed, chunk, rows, machines, p)
 
         monkeypatch.setattr(failsim, "_failed_slabs", slabs)
-        with pytest.raises(Interrupt):
-            mc_estimate(1, 0.3, 200 * 4096, workers=2)
-        # stride 1's share is 100 chunks; it stops within a chunk of the raise
-        assert 1 <= len(stride_one_chunks) <= 3
+        fake_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        try:
+            with pytest.raises(Interrupt):
+                mc_estimate(1, 0.3, 200 * 4096, workers=2)
+        finally:
+            os.close(started)
+            os.close(tell)
+        assert time.monotonic() - start < 30
+        assert_no_children()
 
 
 def _whole_block_cells(seed, chunk, rows, n):
