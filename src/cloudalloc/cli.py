@@ -9,7 +9,8 @@ run that fails midway writes nothing (see `_emit`); a relative --out is
 placed under $CLOUDALLOC_OUTDIR when that is set.  Identical argv
 produces byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 numeric divergence, 3 I/O failure,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import sys
 
-from . import __version__, dynamics, failsim, ledger, replication, report
+from . import __version__, dynamics, failsim, ledger, replication, report, strides
 from .model import DivergenceError, ModelParams, SystemState, check_window, two_user_orbit
 
 DEFAULT_TRANSIENT = 1000
@@ -55,20 +56,31 @@ def _comment_header(config: dict) -> str:
     return f"# cloudalloc {__version__}\n# config: {_strict_json(config)}\n"
 
 
-def _row_blocks(template: str, rows):
+def _row_blocks(template: str, rows, count: int = 0):
     """Yield `template % row` for every tuple row, joined into one chunk per
-    _ROWS_PER_BLOCK rows."""
-    lines = map(template.__mod__, rows)
-    while block := "".join(itertools.islice(lines, _ROWS_PER_BLOCK)):
-        yield block
+    _ROWS_PER_BLOCK rows.  Given `count`, the number of rows, the blocks
+    are dealt to k = `strides.width(blocks)` shares: share w formats blocks
+    w, w + k, ... and steps its own copy of `rows` past the others' rows
+    unformatted, and `strides.interleave` puts the blocks back in order."""
+    size = _ROWS_PER_BLOCK
+    k = strides.width(-(-count // size))
+
+    def share(w):
+        rest = iter(rows)
+        next(itertools.islice(rest, w * size, w * size), None)
+        while block := "".join(map(template.__mod__, itertools.islice(rest, size))):
+            yield block
+            next(itertools.islice(rest, (k - 1) * size, (k - 1) * size), None)
+
+    return strides.interleave(share, k)
 
 
-def _csv_document(config: dict, header: list[str], rows):
-    """Yield the CSV artifact in row blocks.  Cells are ints, floats and
-    empty strings, written by `%s` as their str (a float's str is its repr);
-    CSV quotes none of them."""
+def _csv_document(config: dict, header: list[str], rows, count: int = 0):
+    """Yield the CSV artifact in row blocks (see `_row_blocks` for `count`).
+    Cells are ints, floats and empty strings, written by `%s` as their str
+    (a float's str is its repr); CSV quotes none of them."""
     yield _comment_header(config) + ",".join(header) + "\n"
-    yield from _row_blocks(",".join(["%s"] * len(header)) + "\n", rows)
+    yield from _row_blocks(",".join(["%s"] * len(header)) + "\n", rows, count)
 
 
 def _finite_or_null(obj):
@@ -93,15 +105,15 @@ def _json_document(config: dict, result) -> list[str]:
     return [_strict_json(envelope, indent=2) + "\n"]
 
 
-def _json_rows_document(config: dict, keys: list[str], rows):
+def _json_rows_document(config: dict, keys: list[str], rows, count: int):
     """Yield the JSON envelope of `_json_document(config, [dict(zip(keys, row))
-    for row in rows])` with its rows in blocks.  Rows must be nonempty, keys
-    sorted and every cell a finite number, which `%s` writes as `json.dumps`
-    does."""
+    for row in rows])` with its rows in blocks (see `_row_blocks` for
+    `count`).  Rows must be nonempty, keys sorted and every cell a finite
+    number, which `%s` writes as `json.dumps` does."""
     head, _, tail = _json_document(config, None)[0].rpartition('"result": null')
     fields = ",\n".join(f'      "{k}": %s' for k in keys)
     # every row leads with its separator; the first row's comma is dropped
-    blocks = _row_blocks(",\n    {\n" + fields + "\n    }", rows)
+    blocks = _row_blocks(",\n    {\n" + fields + "\n    }", rows, count)
     yield head + '"result": [' + next(blocks)[1:]
     yield from blocks
     yield "\n  ]" + tail
@@ -181,10 +193,10 @@ def _cmd_iterate(args):
     check_window(args.steps, args.transient)
     orbit = itertools.islice(two_user_orbit(params, s0, args.steps), args.transient, None)
     config = _config_dict(args)
-    keys = ["l", "v_c", "x1", "x2"]
+    keys, count = ["l", "v_c", "x1", "x2"], args.steps - args.transient
     if args.format == "json":
-        return _json_rows_document(config, keys, orbit)
-    return _csv_document(config, keys, orbit)
+        return _json_rows_document(config, keys, orbit, count)
+    return _csv_document(config, keys, orbit, count)
 
 
 def _cmd_fixed_points(args):
@@ -206,9 +218,8 @@ def _cmd_lyapunov(args):
     attractor = dynamics.classify_attractor(spec, zero_band=args.zero_band)
     config = _config_dict(args)
     if args.format == "csv":
-        return _csv_document(
-            config, ["iteration", "lambda1", "lambda2", "lambda3"], spec.history
-        )
+        header = ["iteration", "lambda1", "lambda2", "lambda3"]
+        return _csv_document(config, header, spec.history, len(spec.history))
     result = {
         "exponents": list(spec.exponents),
         "iterations": spec.iterations,
@@ -430,6 +441,9 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

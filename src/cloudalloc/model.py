@@ -32,6 +32,10 @@ class DivergenceError(RuntimeError):
             f"exceeds {DIVERGENCE_BOUND:g} or is not finite)"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds it from (stage, value), as a forked share sends it
+        return type(self), (self.stage, self.value)
+
 
 @dataclass(frozen=True)
 class ModelParams:

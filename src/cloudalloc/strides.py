@@ -1,27 +1,33 @@
 """Strided shares of independent work, dealt to forked processes.
 
 A caller splits its independent items -- bifurcation grid points, Monte
-Carlo trial chunks -- into k strided shares, share w taking items w,
-w + k, w + 2k, ...; `width` picks k, and `deal` runs share 0 in this
-process and each other share in a child made by `os.fork`, which sends
-its result back pickled through a pipe.  Pickle carries floats and ints
-bit for bit, so where an item does not depend on the process that
-computes it, every k gives the same result.
+Carlo trial chunks, the row blocks of a long output -- into k strided
+shares, share w taking items w, w + k, w + 2k, ...; `width` picks k.
+`interleave` runs share 0 in this process and each other share in a
+child made by `os.fork`, which streams its items back pickled through a
+pipe, and yields the items of all shares round robin, so the caller sees
+them in their unstrided order.  A child's write blocks while its pipe
+is full, so it runs ahead of the caller by at most one item and a pipe
+buffer (64 KiB on Linux).  `deal` is `interleave` with one item per
+share.  Pickle carries floats and ints bit for bit, so where an item
+does not depend on the process that computes it, every k gives the same
+result.
 
 A forked child keeps only the forking thread, hence k = 1 (no fork)
 while another Python thread runs.  numpy's OpenBLAS keeps a native
 thread pool that `threading` does not count; OpenBLAS's own fork handler
 stops that pool before the fork (the caller has one thread again when
 `os.fork` returns), and no share calls a BLAS routine: the sweep kernel
-is plain floats, and a Monte Carlo share uses only numpy's Philox and
-elementwise operations.  A child also runs a watcher thread that ends it
-as soon as the caller's end of a "lifeline" pipe closes, so a child
-outlives its caller, or the caller's exception, by no more than a thread
-switch.
+is plain floats, a Monte Carlo share uses only numpy's Philox and
+elementwise operations, and a row share formats floats.  A child also
+runs a watcher thread that ends it as soon as the caller's end of a
+"lifeline" pipe closes, so a child outlives its caller, or the caller's
+exception, by no more than a thread switch.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import threading
@@ -31,12 +37,12 @@ def width(shares: int) -> int:
     """The number of processes to deal `shares` shares to: 1 where
     `os.fork` is missing or another Python thread is running, else the
     smaller of `shares` and the usable CPUs (`os.sched_getaffinity`, else
-    `os.cpu_count`)."""
+    `os.cpu_count`), and at least 1."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(shares, cpus)
+    return max(1, min(shares, cpus))
 
 
 def _exit_when_closed(fd: int) -> None:
@@ -46,39 +52,61 @@ def _exit_when_closed(fd: int) -> None:
     os._exit(1)
 
 
-def _run_child(stride, w: int, fd: int, lifeline: int, alive: int) -> None:
-    """In a forked child: send stride(w)'s result, or the exception it
-    raised, pickled through `fd`, and leave by os._exit.  The caller holds
-    the only other write end of the `lifeline` pipe (`alive`): when the
-    caller closes it or dies, a watcher thread sees the pipe close and
+def _run_child(share, w: int, fd: int, lifeline: int, alive: int) -> None:
+    """In a forked child: send each item of share(w) through `fd` as a
+    pickled ("item", item) record, then ("end", None), or ("raise", exc)
+    for the exception the share raised, and leave by os._exit.  The caller
+    holds the only other write end of the `lifeline` pipe (`alive`): when
+    the caller closes it or dies, a watcher thread sees the pipe close and
     ends the child."""
     status = 1
     try:
         os.close(alive)
         threading.Thread(target=_exit_when_closed, args=(lifeline,), daemon=True).start()
-        try:
-            got = stride(w)
-        except BaseException as exc:  # the caller raises it
-            got = exc
         with open(fd, "wb") as out:
-            pickle.dump(got, out)
+            try:
+                for item in share(w):
+                    pickle.dump(("item", item), out)
+                    out.flush()
+                record = ("end", None)
+            except BaseException as exc:  # the caller raises it
+                record = ("raise", exc)
+            pickle.dump(record, out)
         status = 0
     finally:
         os._exit(status)
 
 
-def deal(stride, k: int) -> list:
-    """[stride(0), ..., stride(k-1)]: stride(0) runs in this process and
-    each other share in a child made by `os.fork` (none at k = 1).
+def _received(pid: int, pipe):
+    """The items child `pid` streams through `pipe`, ending at its end
+    record or raising the exception it sent."""
+    while True:
+        try:
+            tag, got = pickle.load(pipe)
+        except EOFError:
+            raise RuntimeError(f"worker {pid} exited without a result") from None
+        if tag == "end":
+            return
+        if tag == "raise":
+            raise got
+        yield got
 
-    An exception a child's share raises is raised here once stride(0)
-    has returned.  Every child is reaped before this returns or raises:
-    on any exception, Ctrl-C included, this process first closes the
-    lifeline, which ends the children still running; if it dies without
-    raising (SIGKILL, say), the kernel closes it.
+
+def interleave(share, k: int):
+    """Yield the items of the iterables share(0), ..., share(k-1) round
+    robin -- the first item of each share in share order, then the second,
+    ... -- up to the first share that has no next item.  share(0) runs in
+    this process and each other share in a child made by `os.fork` (none
+    at k = 1).
+
+    An exception a child's share raises is raised here in its turn.  Every
+    child is reaped before this returns, raises or is closed: on any
+    exception, Ctrl-C included, and on an early close, this process first
+    closes the lifeline, which ends the children still running; if it
+    dies without raising (SIGKILL, say), the kernel closes it.
     """
     parent = os.getpid()
-    pids, fds = [], []  # fds: the lifeline's two ends, then each child's result pipe
+    pids, fds = [], []  # fds: the lifeline's two ends, then each child's item pipe
     try:
         if k > 1:
             lifeline, alive = os.pipe()
@@ -89,20 +117,19 @@ def deal(stride, k: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(stride, w, wfd, lifeline, alive)
+                    _run_child(share, w, wfd, lifeline, alive)
             finally:
                 os.close(wfd)
             pids.append(pid)
-        results = [stride(0)]
-        for pid, rfd in zip(pids, fds[2:]):
-            with open(rfd, "rb", closefd=False) as pipe:
-                try:
-                    got = pickle.load(pipe)
-                except EOFError:
-                    raise RuntimeError(f"worker {pid} exited without a result") from None
-            if isinstance(got, BaseException):
-                raise got
-            results.append(got)
+        streams = [iter(share(0))] + [
+            _received(pid, open(rfd, "rb", closefd=False)) for pid, rfd in zip(pids, fds[2:])
+        ]
+        for stream in itertools.cycle(streams):
+            try:
+                item = next(stream)
+            except StopIteration:
+                return
+            yield item
     except BaseException:
         if os.getpid() != parent:  # interrupted in a child before _run_child
             os._exit(1)
@@ -112,4 +139,11 @@ def deal(stride, k: int) -> list:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-    return results
+
+
+def deal(stride, k: int) -> list:
+    """[stride(0), ..., stride(k-1)], one round of `interleave`: stride(0)
+    runs in this process and each other share in a forked child.  An
+    exception a child's share raises is raised here once stride(0) has
+    returned."""
+    return list(interleave(lambda w: [stride(w)], k))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import warnings
 
@@ -210,6 +211,15 @@ class TestIterate:
             iterate(p, state(10.0, (10.0, 10.0)), steps=100)
         assert 1 <= err.value.stage <= 100
         assert str(err.value.stage) in str(err.value)
+
+    @pytest.mark.parametrize("value", [-7884427129669.437, math.inf, math.nan])
+    def test_divergence_error_survives_pickle(self, value):
+        # a forked share sends its DivergenceError to the caller pickled
+        err = DivergenceError(2127, value)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert back.stage == 2127 and str(back) == str(err)
+        assert back.value == value or math.isnan(back.value) and math.isnan(value)
 
     def test_replay_reproduces_bit_for_bit(self):
         p = ModelParams.two_user(0.6, 1.28, 1.23)

@@ -39,6 +39,12 @@ _SCALE_SUM_ABOVE_ONE = ["lyapunov", "--alpha", "0.6", "--xi1", "0", "--xi2", "1.
 ARGV = [
     ["iterate", *_CHAOS, "--steps", "300", "--transient", "100"],
     ["iterate", *_CHAOS, "--steps", "300", "--format", "json"],
+    # five row blocks, the last one short, and three for lyapunov's history
+    # (a row per 100 iterations): long enough that the blocks are dealt to
+    # forked shares
+    ["iterate", *_CHAOS, "--steps", "5000", "--transient", "100"],
+    ["iterate", *_CHAOS, "--steps", "5000", "--transient", "100", "--format", "json"],
+    ["lyapunov", *_CHAOS, "--iters", "205000", "--format", "csv"],
     ["fixed-points", "--alpha", "0.6", "--xi1", "1.25", "--xi2", "1.28"],
     ["fixed-points", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1",
      "--seeds", "0.5,0.1,-0.1;0.9,0.3,0.2"],
