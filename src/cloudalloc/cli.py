@@ -59,20 +59,14 @@ def _comment_header(config: dict) -> str:
 def _row_blocks(template: str, rows, count: int = 0):
     """Yield `template % row` for every tuple row, joined into one chunk per
     _ROWS_PER_BLOCK rows.  Given `count`, the number of rows, the blocks
-    are dealt to k = `strides.width(blocks)` shares: share w formats blocks
-    w, w + k, ... and steps its own copy of `rows` past the others' rows
-    unformatted, and `strides.interleave` puts the blocks back in order."""
-    size = _ROWS_PER_BLOCK
-    k = strides.width(-(-count // size))
-
-    def share(w):
-        rest = iter(rows)
-        next(itertools.islice(rest, w * size, w * size), None)
-        while block := "".join(map(template.__mod__, itertools.islice(rest, size))):
-            yield block
-            next(itertools.islice(rest, (k - 1) * size, (k - 1) * size), None)
-
-    return strides.interleave(share, k)
+    are formatted by `strides.imap` with one share per block: each process
+    cuts every block from its own copy of `rows` and formats only its
+    own."""
+    rest, size = iter(rows), _ROWS_PER_BLOCK
+    blocks = iter(lambda: tuple(itertools.islice(rest, size)), ())
+    return strides.imap(
+        lambda block: "".join(map(template.__mod__, block)), blocks, -(-count // size)
+    )
 
 
 def _csv_document(config: dict, header: list[str], rows, count: int = 0):

@@ -168,6 +168,13 @@ class LyapunovSpectrum:
         return self.exponents[0]
 
 
+def _check_iterations(iterations: int) -> None:
+    """A Lyapunov estimate averages over at least 1000 tangent stages.
+    `bifurcation_scan` checks it before any fork."""
+    if iterations < 1000:
+        raise ValueError(f"iterations must be >= 1000, got {iterations}")
+
+
 def _tangent_orbit(
     params: ModelParams,
     s0: SystemState,
@@ -194,8 +201,7 @@ def _tangent_orbit(
     adds -inf to its sum and is replaced by the completion a Householder QR
     would give.
     """
-    if iterations < 1000:
-        raise ValueError(f"iterations must be >= 1000, got {iterations}")
+    _check_iterations(iterations)
     a, k1, k2 = params.alpha, params.xi1, params.xi2
     orbit = two_user_orbit(params, s0, transient + samples + iterations)
     v, (x1, x2) = s0.v_c, s0.x
@@ -349,16 +355,15 @@ def bifurcation_scan(
     not fatal.  Each grid point restarts from the same s0, so results are
     independent of evaluation order.
 
-    The grid points are dealt by stride to k = `strides.width(points)`
-    processes: this process computes `grid[0::k]` and a forked child each
-    `grid[w::k]`, which spreads the early-diverging points of a range over
+    The grid points run through `strides.imap` with one share per point:
+    this process computes points 0, k, 2k, ... and a forked child each
+    other stride, which spreads the early-diverging points of a range over
     all of them.  Every grid point's ModelParams is built here before any
     fork, so its warnings reach the caller.  Results come back pickled,
-    float bits intact, and are merged in grid order, so every k gives the
-    same scan (a nan is then an equal-bits copy, not the `math.nan`
-    object).  An exception raised for a point in a child is raised here
-    once this process's own points are done; `strides.deal` says how the
-    children end.
+    float bits intact, in grid order, so every k gives the same scan (a
+    nan is then an equal-bits copy, not the `math.nan` object).  An
+    exception raised for a point in a child is raised here in that
+    point's turn; `strides.imap` says how the children end.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
@@ -370,6 +375,7 @@ def bifurcation_scan(
         raise ValueError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
+    _check_iterations(lyap_iterations)
     grid = np.linspace(lo, hi, points).tolist()
     # Every ModelParams check admits an interval of the swept value, so
     # valid lo and hi make the whole grid valid: build them first, and a bad
@@ -379,21 +385,15 @@ def bifurcation_scan(
         ends[value] if value in ends else _with_swept(base_params, param, value)
         for value in grid
     ]
-    k = strides.width(points)
 
-    def stride(w: int) -> list[GridPointResult]:
-        results = []
-        for value, p in zip(grid[w::k], grid_params[w::k]):
-            try:
-                v_samples, means = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
-            except DivergenceError as exc:
-                gp = GridPointResult(value, (), math.nan, True, exc.stage)
-            else:
-                gp = GridPointResult(value, tuple(v_samples), max(means[-1][1:]), False, None)
-            results.append(gp)
-        return results
+    def point(item) -> GridPointResult:
+        value, p = item
+        try:
+            v_samples, means = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
+        except DivergenceError as exc:
+            return GridPointResult(value, (), math.nan, True, exc.stage)
+        return GridPointResult(value, tuple(v_samples), max(means[-1][1:]), False, None)
 
-    merged = [None] * points
-    for w, got in enumerate(strides.deal(stride, k)):
-        merged[w::k] = got
-    return BifurcationScan(points=tuple(merged))
+    return BifurcationScan(
+        points=tuple(strides.imap(point, list(zip(grid, grid_params)), points))
+    )

@@ -204,8 +204,8 @@ def mc_estimate(
     Each of the 7n machines fails independently with probability p per
     trial.  Trials are deterministic functions of (seed, trial index), so
     the estimate is identical for any worker count: `workers` (1..64) only
-    caps the processes that `strides` deals strided shares of the trial
-    chunks to.  half_width_95 is the 95% normal (Wald) half-width;
+    caps the shares that `strides.imap` spreads the 4096-trial chunks
+    over.  half_width_95 is the 95% normal (Wald) half-width;
     ci95_low and ci95_high are the 95% Wilson score interval, which stays
     open at p_hat 0 and 1.
     """
@@ -221,17 +221,13 @@ def mc_estimate(
     machines = MACHINES_PER_NODE * n
 
     n_chunks = (trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
-    k = strides.width(min(workers, n_chunks))
 
-    def stride(w: int) -> int:
-        losses = 0
-        for c in range(w, n_chunks, k):
-            rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
-            for f in _failed_slabs(seed, c, rows, machines, p):
-                losses += int(np.count_nonzero(_lost_rows(f, families)))
-        return losses
+    def chunk_losses(c: int) -> int:
+        rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
+        slabs = _failed_slabs(seed, c, rows, machines, p)
+        return sum(int(np.count_nonzero(_lost_rows(f, families))) for f in slabs)
 
-    losses = sum(strides.deal(stride, k))
+    losses = sum(strides.imap(chunk_losses, range(n_chunks), min(workers, n_chunks)))
     p_hat = losses / trials
     half_width = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     low, high = _wilson_95(losses, trials)

@@ -1,25 +1,26 @@
-"""Strided shares of independent work, dealt to forked processes.
+"""An ordered map over independent items, computed by forked processes.
 
-A caller splits its independent items -- bifurcation grid points, Monte
-Carlo trial chunks, the row blocks of a long output -- into k strided
-shares, share w taking items w, w + k, w + 2k, ...; `width` picks k.
-`interleave` runs share 0 in this process and each other share in a
-child made by `os.fork`, which streams its items back pickled through a
-pipe, and yields the items of all shares round robin, so the caller sees
-them in their unstrided order.  A child's write blocks while its pipe
-is full, so it runs ahead of the caller by at most one item and a pipe
-buffer (64 KiB on Linux).  `deal` is `interleave` with one item per
-share.  Pickle carries floats and ints bit for bit, so where an item
-does not depend on the process that computes it, every k gives the same
-result.
+`imap(fn, items, shares)` yields fn(item) for each item, in order, as
+`map` does; its callers' items are bifurcation grid points, Monte Carlo
+trial chunks and the row blocks of a long output.  It takes k processes,
+the smaller of `shares` and the usable CPUs: this process computes items
+0, k, 2k, ... and child w, made by `os.fork`, items w, w + k, ...; each
+process steps past the other items of its own fork-time copy of
+`items`.  A child streams its results back pickled through a pipe, and
+the caller takes them in turn, so it takes each child's result for
+item i before it computes its own next one.  A child's write blocks
+while its pipe is full, so it runs ahead of the caller by at most one
+item and a pipe buffer (64 KiB on Linux).  Pickle carries floats and
+ints bit for bit, so where fn(item) does not depend on the process that
+computes it, every k gives the same results.
 
 A forked child keeps only the forking thread, hence k = 1 (no fork)
 while another Python thread runs.  numpy's OpenBLAS keeps a native
 thread pool that `threading` does not count; OpenBLAS's own fork handler
 stops that pool before the fork (the caller has one thread again when
-`os.fork` returns), and no share calls a BLAS routine: the sweep kernel
-is plain floats, a Monte Carlo share uses only numpy's Philox and
-elementwise operations, and a row share formats floats.  A child also
+`os.fork` returns), and no item calls a BLAS routine: the sweep kernel
+is plain floats, a Monte Carlo chunk uses only numpy's Philox and
+elementwise operations, and a row block formats floats.  A child also
 runs a watcher thread that ends it as soon as the caller's end of a
 "lifeline" pipe closes, so a child outlives its caller, or the caller's
 exception, by no more than a thread switch.
@@ -33,8 +34,8 @@ import pickle
 import threading
 
 
-def width(shares: int) -> int:
-    """The number of processes to deal `shares` shares to: 1 where
+def _width(shares: int) -> int:
+    """The number of processes `imap` spreads `shares` shares over: 1 where
     `os.fork` is missing or another Python thread is running, else the
     smaller of `shares` and the usable CPUs (`os.sched_getaffinity`, else
     `os.cpu_count`), and at least 1."""
@@ -52,20 +53,20 @@ def _exit_when_closed(fd: int) -> None:
     os._exit(1)
 
 
-def _run_child(share, w: int, fd: int, lifeline: int, alive: int) -> None:
-    """In a forked child: send each item of share(w) through `fd` as a
-    pickled ("item", item) record, then ("end", None), or ("raise", exc)
-    for the exception the share raised, and leave by os._exit.  The caller
-    holds the only other write end of the `lifeline` pipe (`alive`): when
-    the caller closes it or dies, a watcher thread sees the pipe close and
-    ends the child."""
+def _run_child(results, fd: int, lifeline: int, alive: int) -> None:
+    """In a forked child: send each item of the iterable `results` through
+    `fd` as a pickled ("item", item) record, then ("end", None), or
+    ("raise", exc) for the exception computing them raised, and leave by
+    os._exit.  The caller holds the only other write end of the `lifeline`
+    pipe (`alive`): when the caller closes it or dies, a watcher thread
+    sees the pipe close and ends the child."""
     status = 1
     try:
         os.close(alive)
         threading.Thread(target=_exit_when_closed, args=(lifeline,), daemon=True).start()
         with open(fd, "wb") as out:
             try:
-                for item in share(w):
+                for item in results:
                     pickle.dump(("item", item), out)
                     out.flush()
                 record = ("end", None)
@@ -92,19 +93,20 @@ def _received(pid: int, pipe):
         yield got
 
 
-def interleave(share, k: int):
-    """Yield the items of the iterables share(0), ..., share(k-1) round
-    robin -- the first item of each share in share order, then the second,
-    ... -- up to the first share that has no next item.  share(0) runs in
-    this process and each other share in a child made by `os.fork` (none
-    at k = 1).
+def imap(fn, items, shares: int):
+    """Yield fn(item) for each item of the iterable `items`, in order.
+    Process w of k = `_width(shares)` computes fn on items w, w + k, ...
+    of its own fork-time copy of `items`: this process is w = 0, and each
+    other w is a child made by `os.fork` (none at k = 1).
 
-    An exception a child's share raises is raised here in its turn.  Every
-    child is reaped before this returns, raises or is closed: on any
-    exception, Ctrl-C included, and on an early close, this process first
-    closes the lifeline, which ends the children still running; if it
-    dies without raising (SIGKILL, say), the kernel closes it.
+    An exception that fn or `items` raises in a child is raised here in
+    its item's turn.  Every child is reaped before this returns, raises or
+    is closed: on any exception, Ctrl-C included, and on an early close,
+    this process first closes the lifeline, which ends the children still
+    running; if it dies without raising (SIGKILL, say), the kernel closes
+    it.
     """
+    k = _width(shares)
     parent = os.getpid()
     pids, fds = [], []  # fds: the lifeline's two ends, then each child's item pipe
     try:
@@ -117,11 +119,11 @@ def interleave(share, k: int):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(share, w, wfd, lifeline, alive)
+                    _run_child(map(fn, itertools.islice(items, w, None, k)), wfd, lifeline, alive)
             finally:
                 os.close(wfd)
             pids.append(pid)
-        streams = [iter(share(0))] + [
+        streams = [map(fn, itertools.islice(items, 0, None, k))] + [
             _received(pid, open(rfd, "rb", closefd=False)) for pid, rfd in zip(pids, fds[2:])
         ]
         for stream in itertools.cycle(streams):
@@ -139,11 +141,3 @@ def interleave(share, k: int):
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def deal(stride, k: int) -> list:
-    """[stride(0), ..., stride(k-1)], one round of `interleave`: stride(0)
-    runs in this process and each other share in a forked child.  An
-    exception a child's share raises is raised here once stride(0) has
-    returned."""
-    return list(interleave(lambda w: [stride(w)], k))

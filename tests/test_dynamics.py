@@ -564,6 +564,17 @@ class TestSweepWorkers:
         if grid == "annihilated":
             assert want.points[0].value == 0.0 and not want.points[0].divergent
 
+    def test_short_lyapunov_window_is_refused_before_any_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        fake_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ValueError, match=r"^iterations must be >= 1000, got 10$"):
+            bifurcation_scan(
+                params(0.5, 1.28, 1.23), "alpha", 0.6, 0.7, 4, S0, lyap_iterations=10
+            )
+
     def test_interrupt_in_the_callers_stride_ends_every_child(self, monkeypatch):
         caller, real = os.getpid(), dynamics._tangent_orbit
 

@@ -351,7 +351,7 @@ class TestMcEstimate:
             if os.getpid() != caller:  # the child's first chunk never ends
                 os.write(tell, b"!")
                 time.sleep(60)
-            elif chunk == 2:  # the caller's second chunk, once the child is in its first
+            else:  # the caller's first chunk, once the child is in its own
                 assert select.select([started], [], [], 30)[0]
                 raise Interrupt
             return real(seed, chunk, rows, machines, p)

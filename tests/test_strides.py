@@ -1,6 +1,6 @@
-"""The fork driver: `strides.width` picks the process count,
-`strides.interleave` streams the shares and `strides.deal` runs one round
-of it.  Each caller's end-to-end check lives with its caller."""
+"""The fork driver: `strides.imap(fn, items, shares)` maps fn over items in
+order, process w of k = `strides._width(shares)` computing items w, w + k,
+...  Each caller's end-to-end check lives with its caller."""
 
 import itertools
 import math
@@ -26,29 +26,30 @@ def assert_no_children():
 def test_width_follows_usable_cpus(monkeypatch):
     fake_cpus(monkeypatch, 3)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert [strides.width(n) for n in (0, 1, 2, 7)] == [1, 1, 2, 3]
+    assert [strides._width(n) for n in (0, 1, 2, 7)] == [1, 1, 2, 3]
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert strides.width(400) == 64
+    assert strides._width(400) == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert strides.width(400) == 1
+    assert strides._width(400) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9])
-def test_results_come_back_in_stride_order_bit_for_bit(k):
+def test_results_come_back_in_stride_order_bit_for_bit(k, monkeypatch):
+    # 2k + 1 items: k divides none of the counts but k = 1's
+    fake_cpus(monkeypatch, k)
     caller = os.getpid()
 
-    def stride(w):
-        here = os.getpid() == caller
-        return w, here, [math.nan, -0.0, math.inf, 0.1 * w, 2**70 + w]
+    def fn(i):
+        return i, os.getpid() == caller, [math.nan, -0.0, math.inf, 0.1 * i, 2**70 + i]
 
     pack = struct.Struct("<d").pack
-    got = strides.deal(stride, k)
-    assert [(w, here) for w, here, _ in got] == [(w, w == 0) for w in range(k)]
-    for w, _, values in got:
+    got = list(strides.imap(fn, range(2 * k + 1), 2 * k + 1))
+    assert [(i, here) for i, here, _ in got] == [(i, i % k == 0) for i in range(2 * k + 1)]
+    for i, _, values in got:
         assert [pack(v) for v in values[:4]] == [
-            pack(v) for v in (math.nan, -0.0, math.inf, 0.1 * w)
+            pack(v) for v in (math.nan, -0.0, math.inf, 0.1 * i)
         ]
-        assert values[4] == 2**70 + w
+        assert values[4] == 2**70 + i
     assert_no_children()
 
 
@@ -63,81 +64,98 @@ def test_serial_without_fork_or_with_another_thread(monkeypatch):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert strides.width(7) == 1
+        assert strides._width(7) == 1
+        assert list(strides.imap(str, range(7), 7)) == list("0123456")
     finally:
         release.set()
         other.join()
-    assert strides.deal(lambda w: [w], 1) == [[0]]
     monkeypatch.delattr(os, "fork")
-    assert strides.width(7) == 1
+    assert strides._width(7) == 1
+    assert list(strides.imap(str, range(7), 7)) == list("0123456")
 
 
-def test_child_exception_is_raised_in_the_caller():
+def test_child_exception_is_raised_in_the_caller(monkeypatch):
+    fake_cpus(monkeypatch, 3)
     caller = os.getpid()
 
-    def stride(w):
+    def fn(i):
         if os.getpid() != caller:
             raise ZeroDivisionError(os.getpid())
-        return w
+        return i
 
     with pytest.raises(ZeroDivisionError) as err:
-        strides.deal(stride, 3)
+        list(strides.imap(fn, range(3), 3))
     assert err.value.args[0] != caller   # it was raised in a child
     assert_no_children()
 
 
-def test_a_child_that_sends_nothing_is_an_error():
+def test_a_child_that_sends_nothing_is_an_error(monkeypatch):
+    fake_cpus(monkeypatch, 2)
     caller = os.getpid()
 
-    def stride(w):
+    def fn(i):
         if os.getpid() != caller:
             os._exit(0)
-        return w
+        return i
 
     with pytest.raises(RuntimeError, match=r"worker \d+ exited without a result"):
-        strides.deal(stride, 2)
+        list(strides.imap(fn, range(2), 2))
     assert_no_children()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_interleave_yields_round_robin_up_to_the_first_empty_share(cpus, monkeypatch):
+def test_each_process_computes_every_kth_item(cpus, monkeypatch):
+    # 6 items over 3 shares: process w of k = cpus computes items w, w + k, ...
     fake_cpus(monkeypatch, cpus)
-    k = strides.width(3)
-    assert k == cpus
-    caller = os.getpid()
-
-    def share(w):
-        # shares 0, 1, 2 have 3, 1 and 2 items
-        for i in range((3, 1, 2)[w]):
-            yield w, i, os.getpid() == caller
-
-    got = list(strides.interleave(share, k))
-    want = {1: [(0, 0), (0, 1), (0, 2)], 2: [(0, 0), (1, 0), (0, 1)],
-            3: [(0, 0), (1, 0), (2, 0), (0, 1)]}[k]
-    assert [(w, i) for w, i, _ in got] == want
-    assert [here for w, _, here in got] == [w == 0 for w, _ in want]
+    assert strides._width(3) == cpus
+    pids = list(strides.imap(lambda i: os.getpid(), range(6), 3))
+    assert pids[0] == os.getpid()
+    assert pids == pids[:cpus] * (6 // cpus)
+    assert len(set(pids)) == cpus
     assert_no_children()
 
 
-def test_interleave_raises_a_childs_exception_in_its_turn():
-    def share(w):
-        yield w, 0
-        if w == 2:
+def test_a_childs_exception_is_raised_in_its_turn(monkeypatch):
+    fake_cpus(monkeypatch, 3)
+
+    def fn(i):
+        if i == 5:   # child 2's second item
             raise ZeroDivisionError(os.getpid())
-        yield w, 1
+        return i
 
     got = []
     with pytest.raises(ZeroDivisionError) as err:
-        for item in strides.interleave(share, 3):
-            got.append(item)
-    assert got == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+        for result in strides.imap(fn, range(9), 3):
+            got.append(result)
+    assert got == [0, 1, 2, 3, 4]
     assert err.value.args[0] != os.getpid()   # it was raised in a child
     assert_no_children()
 
 
-def test_closing_interleave_early_ends_every_child():
-    # every share is endless: only closing the generator ends the children
-    items = strides.interleave(lambda w: itertools.count(w, 3), 3)
-    assert next(items) == 0
-    items.close()
+def test_generator_items_are_stepped_in_each_process_from_their_fork_time_state(monkeypatch):
+    # each process steps its own copy of the generator from the item it had
+    # reached at the fork, so every item is made once per process
+    fake_cpus(monkeypatch, 3)
+    made = []
+
+    def items():
+        for i in range(7):
+            made.append(i)
+            yield os.getpid(), i
+
+    gen = items()
+    assert next(gen)[1] == 0   # stepped once before imap sees it
+    got = list(strides.imap(lambda item: (item[0] == os.getpid(), item[1] ** 2), gen, 3))
+    assert [square for _, square in got] == [i * i for i in range(1, 7)]
+    assert all(own for own, _ in got)   # every item was made in the process that mapped it
+    assert made == list(range(7))       # this process made each item once
+    assert_no_children()
+
+
+def test_closing_imap_early_ends_every_child(monkeypatch):
+    # the items are endless: only closing the generator ends the children
+    fake_cpus(monkeypatch, 3)
+    results = strides.imap(lambda i: i, itertools.count(), 3)
+    assert next(results) == 0
+    results.close()
     assert_no_children()
