@@ -10,15 +10,17 @@ is reconciled by fiat.
 
 A report section is a builder, which returns the section's dict, and the
 renderer right after it, which turns that dict into markdown lines.
-`build_discrepancy_report` calls the builders by their module-level names,
-so a wrapper set on this module (the benchmark's spans) sees every call.
+`build_discrepancy_report` maps the builders through `strides.imap`, one
+share per section, and calls each by its module-level name, so a wrapper
+set on this module (the benchmark's spans) sees every call; a section
+built in a forked child comes back as a pickled copy of its dict.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import dynamics, failsim, ledger, replication
+from . import dynamics, failsim, ledger, replication, strides
 from .ledger import GIGABYTE, MEGABYTE
 from .model import ModelParams, SystemState
 
@@ -343,15 +345,23 @@ def _render_structural(sg: dict) -> list[str]:
 
 
 def build_discrepancy_report(mc_trials: int, seed: int) -> dict:
-    # called by name, so that wrappers set on this module see each builder
-    return {
-        "fixed_points": fixed_point_section(),
-        "routh_region": routh_region_section(),
-        "hopf": hopf_section(),
-        "loss_table": loss_table_section(),
-        "allocation_table": allocation_section(),
-        "structural_vs_group": structural_section(mc_trials=mc_trials, seed=seed),
+    # One `strides.imap` share per section, dealt by cost.  Item 0 stays in
+    # this process: the structural Monte Carlo, whose first numpy.random
+    # access sets the process's peak RSS.  The loss table, the other large
+    # builder, is the first child's item, so the two run side by side; the
+    # four small builders follow.  Each lambda calls its builder by its
+    # module-level name when it runs, so wrappers set on this module see it.
+    builders = {
+        "structural_vs_group": lambda: structural_section(mc_trials=mc_trials, seed=seed),
+        "loss_table": lambda: loss_table_section(),
+        "routh_region": lambda: routh_region_section(),
+        "hopf": lambda: hopf_section(),
+        "fixed_points": lambda: fixed_point_section(),
+        "allocation_table": lambda: allocation_section(),
     }
+    built = strides.imap(lambda build: build(), builders.values(), len(builders))
+    data = dict(zip(builders, built, strict=True))  # strict: imap runs to its end and reaps
+    return {key: data[key] for key, _ in _RENDERERS}
 
 
 _RENDERERS = (

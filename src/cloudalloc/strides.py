@@ -2,17 +2,18 @@
 
 `imap(fn, items, shares)` yields fn(item) for each item, in order, as
 `map` does; its callers' items are bifurcation grid points, Monte Carlo
-trial chunks and the row blocks of a long output.  It takes k processes,
-the smaller of `shares` and the usable CPUs: this process computes items
-0, k, 2k, ... and child w, made by `os.fork`, items w, w + k, ...; each
-process steps past the other items of its own fork-time copy of
-`items`.  A child streams its results back pickled through a pipe, and
-the caller takes them in turn, so it takes each child's result for
-item i before it computes its own next one.  A child's write blocks
-while its pipe is full, so it runs ahead of the caller by at most one
-item and a pipe buffer (64 KiB on Linux).  Pickle carries floats and
-ints bit for bit, so where fn(item) does not depend on the process that
-computes it, every k gives the same results.
+trial chunks, the row blocks of a long output and the six sections of
+the discrepancy report.  It takes k processes, the smaller of `shares`
+and the usable CPUs: this process computes items 0, k, 2k, ... and
+child w, made by `os.fork`, items w, w + k, ...; each process steps past
+the other items of its own fork-time copy of `items`.  A child streams
+its results back pickled through a pipe, and the caller takes them in
+turn, so it takes each child's result for item i before it computes its
+own next one.  A child's write blocks while its pipe is full, so it runs
+ahead of the caller by at most one item and a pipe buffer (64 KiB on
+Linux).  Pickle carries floats and ints bit for bit, so where fn(item)
+does not depend on the process that computes it, every k gives the same
+results.
 
 A forked child keeps only the forking thread, hence k = 1 (no fork)
 while another Python thread runs.  numpy's OpenBLAS keeps a native
@@ -20,10 +21,13 @@ thread pool that `threading` does not count; OpenBLAS's own fork handler
 stops that pool before the fork (the caller has one thread again when
 `os.fork` returns), and no item calls a BLAS routine: the sweep kernel
 is plain floats, a Monte Carlo chunk uses only numpy's Philox and
-elementwise operations, and a row block formats floats.  A child also
-runs a watcher thread that ends it as soon as the caller's end of a
-"lifeline" pipe closes, so a child outlives its caller, or the caller's
-exception, by no more than a thread switch.
+elementwise operations, a row block formats floats, and no report
+section calls one (they use elementwise array operations, plain floats
+and big integers).  A child also runs a watcher thread that ends it as
+soon as the caller's end of a "lifeline" pipe closes, so a child
+outlives its caller, or the caller's exception, by no more than a
+thread switch; that thread also makes an `imap` inside a child's item
+serial.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import cloudalloc
 from cloudalloc import cli
 from cloudalloc.cli import run
 from cloudalloc.model import ModelParams, SystemState, iterate, two_user_orbit
+from conftest import assert_no_children, fake_cpus
 
 # An orbit that leaves the divergence bound at stage 1245, inside the second
 # row block, after its first rows have reached the output file.
@@ -807,7 +808,11 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("to_group", [False, True], ids=["leader", "group"])
     def test_bifurcate_interrupt_leaves_no_process(self, to_group, tmp_path):
-        for argv in self.long_argvs(tmp_path):
+        # the report's forked sections end within milliseconds; the signal
+        # lands in its structural Monte Carlo, which runs in the caller
+        report = ["discrepancy-report", "--mc-trials", "40000000",
+                  "--out", str(tmp_path / "report.md")]
+        for argv in (*self.long_argvs(tmp_path), report):
             proc = self.start_long(argv)
             pgid = proc.pid
             try:
@@ -888,7 +893,9 @@ class TestDiscrepancyReport:
 
     def test_builders_are_looked_up_at_call_time(self, monkeypatch):
         """A wrapper set on the module, as the benchmark's spans set one,
-        replaces what the report builds and renders."""
+        replaces what the report builds and renders, whether this process
+        builds the section (1 CPU) or a forked child does (6 CPUs: one
+        share per section), which returns a pickled copy."""
         from cloudalloc import report
 
         fake = {
@@ -898,11 +905,47 @@ class TestDiscrepancyReport:
             "examples": [{"xi1": 0.5, "xi2": 1.5, "alpha": 0.125}],
         }
         monkeypatch.setattr(report, "hopf_section", lambda: fake)
-        data = report.build_discrepancy_report(mc_trials=1000, seed=1)
-        assert data["hopf"] is fake
-        text = report.render_discrepancy_markdown(data)
-        assert "(step 0.25, up to 9.0): 31337" in text
-        assert "- xi1=0.50, xi2=1.50 -> alpha=0.1250" in text
+        for cpus in (1, 6):
+            fake_cpus(monkeypatch, cpus)
+            data = report.build_discrepancy_report(mc_trials=1000, seed=1)
+            assert_no_children()
+            assert data["hopf"] == fake
+            text = report.render_discrepancy_markdown(data)
+            assert "(step 0.25, up to 9.0): 31337" in text
+            assert "- xi1=0.50, xi2=1.50 -> alpha=0.1250" in text
+
+    def test_report_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        """Each section is one share of the fork driver; at 1 CPU this
+        process builds all six, at 6 a child builds each but the first."""
+        from cloudalloc import report
+
+        texts = []
+        for cpus in (1, 2, 3, 6):
+            fake_cpus(monkeypatch, cpus)
+            data = report.build_discrepancy_report(mc_trials=1000, seed=7)
+            assert_no_children()
+            assert list(data) == [
+                "fixed_points", "routh_region", "hopf", "loss_table", "allocation_table",
+                "structural_vs_group",
+            ]
+            texts.append(report.render_discrepancy_markdown(data))
+        assert texts[1:] == texts[:1] * 3
+
+    def test_a_childs_builder_error_is_raised_in_the_caller(self, monkeypatch):
+        from cloudalloc import report
+
+        caller = os.getpid()
+
+        def broken():
+            raise ValueError(os.getpid())
+
+        # the loss table is the second share, so at 2 CPUs a child builds it
+        monkeypatch.setattr(report, "loss_table_section", broken)
+        fake_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError) as err:
+            report.build_discrepancy_report(mc_trials=1000, seed=1)
+        assert err.value.args[0] != caller
+        assert_no_children()
 
     def test_report_deterministic(self, tmp_path):
         a = tmp_path / "a.md"

@@ -33,6 +33,7 @@ from cloudalloc.model import (
     step_two_user_raw,
 )
 from cloudalloc.report import characteristic_coeffs, hopf_alpha, routh_stable, stability_window
+from conftest import assert_no_children, fake_cpus
 
 S0 = SystemState(l=0, v_c=0.01, x=(0.01, -0.01))
 # the four regimes of the benchmark's orbit workload
@@ -508,11 +509,6 @@ class TestBifurcationScan:
             )
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def scan_bits(scan):
     """Every float of a scan as its 8 bytes: a nan unpickled in another
     process is not the `math.nan` object, so `==` on GridPointResult would
@@ -523,11 +519,6 @@ def scan_bits(scan):
          gp.divergent, gp.divergence_stage)
         for gp in scan.points
     ]
-
-
-def fake_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestSweepWorkers:

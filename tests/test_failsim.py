@@ -37,6 +37,7 @@ from cloudalloc.replication import (
     prob_no_loss,
     user_machine_ids,
 )
+from conftest import assert_no_children, fake_cpus
 
 
 class TestGroupFatal:
@@ -209,16 +210,6 @@ def _assert_wilson_ends(est):
         assert (est.p_hat - x) ** 2 == pytest.approx(
             z2 * x * (1 - x) / est.trials, rel=1e-9, abs=1e-18
         )
-
-
-def fake_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestMcEstimate:

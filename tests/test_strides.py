@@ -11,16 +11,7 @@ import threading
 import pytest
 
 from cloudalloc import strides
-
-
-def fake_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from conftest import assert_no_children, fake_cpus
 
 
 def test_width_follows_usable_cpus(monkeypatch):
