@@ -12,10 +12,11 @@ Each scenario mode is a hosting-set family of n quadruples and n triples
 (`_hosting_sets`): the groups, or the hosts of each node's half A and B in
 a PlacementPlan, which shares machines across blocks, so single scenarios
 may disagree (measured, never assumed away).  Monte Carlo, exhaustive
-enumeration and the coefficient check feed boolean failure blocks, random
-or enumerated, to one predicate (`_lost_rows`): some set failed
-completely.  `scenario_loss` is its row-by-row reference, a set-inclusion
-test over the same family."""
+enumeration and the coefficient check feed failure blocks to one
+predicate (`_lost_rows`): some set failed completely.  Monte Carlo blocks
+are random booleans, one scenario a row; enumerated blocks are bit-sliced
+uint64 words, 64 scenarios a word, one per bit lane.  `scenario_loss` is
+its row-by-row reference, a set-inclusion test over the same family."""
 
 from __future__ import annotations
 
@@ -60,8 +61,11 @@ _Z95 = 1.96
 # above this is refused as a usage error, whatever the usable CPUs.
 _MAX_WORKERS = 64
 # Exhaustive enumeration walks the 2^(7n) scenarios in blocks of
-# 2^_BLOCK_BITS rows; the block size bounds memory, never the result.
-_BLOCK_BITS = 16
+# 2^_BLOCK_BITS, 64 to a uint64 word, so a block is at least one word
+# (_BLOCK_BITS >= 6); the block size bounds memory, never the result.
+_BLOCK_BITS = 15
+_LANE_BITS = 6
+_LANES = np.arange(1 << _LANE_BITS, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -172,11 +176,12 @@ def _lost_rows(
     failed: np.ndarray, families: list[list[slice | np.ndarray]]
 ) -> np.ndarray:
     """Per row of a failure block, whether some set of some family failed
-    whole."""
+    whole.  A bool block gives one bool a row; a bit-sliced uint64 block
+    gives one word a row, whose lane bits mark its lost scenarios."""
     lost = _all_failed(failed, families[0])
     for columns in families[1:]:
         lost |= _all_failed(failed, columns)
-    return lost.any(axis=1)
+    return np.bitwise_or.reduce(lost, axis=1)
 
 
 def _wilson_95(losses: int, trials: int) -> tuple[float, float]:
@@ -248,31 +253,59 @@ def verify_coefficients() -> tuple[int, ...]:
     return tuple(math.comb(MACHINES_PER_NODE, f) - int(c) for f, c in enumerate(lost))
 
 
+def _lane_word(marked: np.ndarray) -> np.uint64:
+    """The word whose bit l is set iff marked[l], for each of the 64 lanes."""
+    return np.bitwise_or.reduce(marked.astype(np.uint64) << _LANES)
+
+
+def _word_blocks(m: int, low: int):
+    """The 2^m failure scenarios of m machines, bit-sliced, in 2^(m - low)
+    blocks of 2^low: yields each block index b with its F-order (2^(low-6),
+    m) uint64 block, a view of one reused buffer.  Lane l of word w is
+    scenario s = b * 2^low + 64 w + l, and machine j failed in it iff bit j
+    of s is set: machines 0..5 are fixed lane patterns (0xAAAA..., 0xCCCC...,
+    ...), machines 6..low-1 all-ones or zero per word, the rest all-ones or
+    zero per block."""
+    words = np.arange(1 << (low - _LANE_BITS), dtype=np.uint64)
+    ones = np.uint64(2**64 - 1)
+    failed = np.empty((words.size, m), dtype=np.uint64, order="F")
+    for j in range(_LANE_BITS):
+        failed[:, j] = _lane_word(_LANES >> np.uint64(j) & 1)
+    for j in range(_LANE_BITS, low):
+        failed[:, j] = (words >> np.uint64(j - _LANE_BITS) & 1) * ones
+    failed[:, low:] = 0
+    for block in range(1 << (m - low)):
+        if block:
+            # counting up sets the lowest clear bit and clears the bits below
+            t = (block & -block).bit_length() - 1
+            failed[:, low + t] = ones
+            failed[:, low : low + t] = 0
+        yield block, failed
+
+
 def _loss_counts(n: int, mode: str) -> np.ndarray:
     """Per f, how many of the 2^(7n) failure scenarios with f failed
     machines lose data.
 
-    Scenarios stream in column-major boolean blocks of 2^16 rows: the rows
-    enumerate the failures of the first 16 machines, and each block fixes
-    the rest to the bits of its index.  `_lost_rows`, the Monte Carlo
-    predicate, marks the lost rows.
+    Scenarios stream in bit-sliced blocks of 2^15 (`_word_blocks`), 64 to
+    a uint64 word; `_lost_rows`, the Monte Carlo predicate, ANDs and ORs
+    the words lane-wise into one lost-lane word per word.  Row k of `masks`
+    marks, per word, the lanes with k failures among the block's low
+    machines, so a popcount of `masks & lost` counts the block's lost
+    scenarios by k, and the block's own failed machines shift k to f.
     """
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
     m = MACHINES_PER_NODE * n
     low = min(_BLOCK_BITS, m)
-    rows = np.arange(1 << low, dtype=np.min_scalar_type((1 << low) - 1))
-    failed = np.empty((1 << low, m), dtype=bool, order="F")
-    for j in range(low):
-        failed[:, j] = rows >> j & 1
-    low_fails = failed[:, :low].sum(axis=1, dtype=np.uint8)
+    words = np.arange(1 << (low - _LANE_BITS))
+    masks = np.zeros((low + 1, words.size), dtype=np.uint64)
+    for k in range(_LANE_BITS + 1):
+        masks[np.bitwise_count(words) + k, words] = _lane_word(np.bitwise_count(_LANES) == k)
     counts = np.zeros(m + 1, dtype=np.int64)
-    for block in range(1 << (m - low)):
-        for j in range(low, m):
-            failed[:, j] = block >> (j - low) & 1
-        high_fails = block.bit_count()
-        counts += np.bincount(
-            low_fails[_lost_rows(failed, families)] + high_fails, minlength=m + 1
-        )
+    for block, failed in _word_blocks(m, low):
+        lost = _lost_rows(failed, families)
+        f = block.bit_count()
+        counts[f : f + low + 1] += np.bitwise_count(masks & lost).sum(axis=1, dtype=np.int64)
     return counts
 
 
@@ -282,7 +315,7 @@ def exhaustive_loss_probability(n: int, p: float, mode: str = "group") -> float:
     `_loss_counts` counts the lost scenarios per number f of failed
     machines; a scenario with f failed machines weighs p^f (1-p)^(7n-f),
     and the final sum is exact (rational).  Cost is exponential -- n <= 4
-    (2^28 scenarios, a few seconds) is the intended desk scale.
+    (2^28 scenarios, under half a second) is the intended desk scale.
     """
     check_nodes(n)
     if n > 4:

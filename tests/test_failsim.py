@@ -18,8 +18,10 @@ from cloudalloc.failsim import (
     McEstimate,
     _failed_slabs,
     _hosting_sets,
+    _loss_counts,
     _lost_rows,
     _member_columns,
+    _word_blocks,
     exhaustive_loss_probability,
     mc_estimate,
     scenario_loss,
@@ -556,33 +558,48 @@ class TestExhaustive:
         assert got == prob_data_loss(4, 0.3, "closed-form").p_loss
         assert got == prob_data_loss(4, 0.3, "exact-bigint").p_loss
 
-    @pytest.mark.parametrize("bits", [3, 7, None])
+    @pytest.mark.parametrize("mode", SCENARIO_MODES)
+    def test_a_bit_sliced_block_matches_its_bool_rows(self, mode):
+        # block 37 of n = 3 (machines 15, 17 and 20 failed), its 2^15
+        # scenarios unpacked lane by lane into one bool row each
+        families = [_member_columns(sets) for sets in _hosting_sets(3, mode)]
+        block, words = next(itertools.islice(_word_blocks(21, 15), 37, None))
+
+        def lanes(w):
+            return np.unpackbits(w.astype("<u8").view(np.uint8), bitorder="little") == 1
+
+        rows = np.stack([lanes(words[:, j]) for j in range(21)], axis=1)
+        scenarios = (block << 15) + np.arange(1 << 15)
+        assert np.array_equal(rows, scenarios[:, None] >> np.arange(21) & 1 == 1)
+        lost = lanes(_lost_rows(words, families))
+        assert np.array_equal(lost, _lost_rows(rows, families))
+        assert 0 < lost.sum() < lost.size
+        for s in range(0, 1 << 15, 997):
+            assert lost[s] == scenario_loss(3, np.flatnonzero(rows[s]).tolist(), mode)
+
+    @pytest.mark.parametrize("bits", [6, 7, None])
     def test_block_size_never_changes_the_result(self, bits, monkeypatch):
-        # 3-bit blocks are left out at n = 3: 2^18 blocks take about 10 s
+        # 6 bits, one word a block, is the smallest block
         cases = [(1, "group"), (2, "group"), (3, "group"), (3, "structural")]
-        if bits == 3:
-            cases = cases[:2]
-        ps = (0.203, 0.5)
-        want = {(n, mode, p): exhaustive_loss_probability(n, p, mode)
-                for n, mode in cases for p in ps}
+        want = {case: _loss_counts(*case) for case in cases}
         for n, mode in cases:
             # None: one block holds every scenario
             monkeypatch.setattr(failsim, "_BLOCK_BITS", 7 * n if bits is None else bits)
-            for p in ps:
-                assert exhaustive_loss_probability(n, p, mode) == want[(n, mode, p)]
+            assert np.array_equal(_loss_counts(n, mode), want[(n, mode)])
 
     @pytest.mark.parametrize("mode", SCENARIO_MODES)
     def test_memory_is_bounded_by_the_block(self, mode):
-        # all 2^21 scenarios as uint32 masks would be 8 MiB alone; the 2^16 x
-        # 21 failure block is 1.3 MiB, and int64 row ids and failure counts
-        # would add another 1 MiB
+        # all 2^21 scenarios as uint32 masks would be 8 MiB alone, and one
+        # 2^16 x 21 bool block 1.3 MiB; a bit-sliced block of 2^15
+        # scenarios is 512 words x 21 machines, 84 KiB, beside its 64 KiB of
+        # lane masks
         tracemalloc.start()
         try:
             exhaustive_loss_probability(3, 0.3, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        assert peak < 2**20
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
