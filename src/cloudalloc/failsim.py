@@ -13,10 +13,9 @@ Each scenario mode is a hosting-set family of n quadruples and n triples
 a PlacementPlan, which shares machines across blocks, so single scenarios
 may disagree (measured, never assumed away).  Monte Carlo, exhaustive
 enumeration and the coefficient check feed failure blocks to one
-predicate (`_lost_rows`): some set failed completely.  Monte Carlo blocks
-are random booleans, one scenario a row; enumerated blocks are bit-sliced
-uint64 words, 64 scenarios a word, one per bit lane.  `scenario_loss` is
-its row-by-row reference, a set-inclusion test over the same family."""
+predicate (`_lost_rows`) on bit-sliced uint64 words, one scenario a lane,
+random or enumerated: some set failed completely.  `scenario_loss` is its
+row-by-row reference, a set-inclusion test over the same family."""
 
 from __future__ import annotations
 
@@ -43,19 +42,12 @@ SCENARIO_MODES = ("group", "structural")
 # reaches, opened there directly, so trial t's outcome depends only on
 # (seed, t // CHUNK, t % CHUNK) -- never on worker count or total trials.
 _CHUNK_TRIALS = 4096
-# A chunk's machine-trial cells are the uint16 view of one sequential
-# `random_raw` stream, four cells per 64-bit word, read row-major as the
-# (rows, 7n) block.  They stream through slabs of at most about this many
-# cells, a multiple of four rows each, so no word is split between slabs
-# and the slabs together are exactly that block: estimates do not depend on
-# it.
-_SLAB_CELLS = 1 << 16
-# A cell equal to the threshold (a tie) draws a double, in row-major order,
-# from a second stream opened at the chunk's counter + 2**127 (the state
-# `jumped(c).advance(2**127)` reaches): half way to the next chunk's counter,
-# so disjoint from the cell words of every chunk.  A slab without a tie draws
-# nothing from it.
-_TIE_ADVANCE = 2**127
+# Lane words are drawn in slabs of max(1, this // 7n) word-rows (64 KiB),
+# digit-major, so this constant is part of the stream, as the chunk size is.
+_SLAB_WORDS = 1 << 13
+# A run may draw at most this many machine-trial cells (trials x 7n): about
+# a minute at one worker for n >= 10, at 0.5e9 to 0.9e9 cells per second.
+_MAX_CELLS = 3 * 10**10
 _Z95 = 1.96
 # `workers` caps the processes that run strided shares of the chunks; a cap
 # above this is refused as a usage error, whatever the usable CPUs.
@@ -66,6 +58,7 @@ _MAX_WORKERS = 64
 _BLOCK_BITS = 15
 _LANE_BITS = 6
 _LANES = np.arange(1 << _LANE_BITS, dtype=np.uint64)
+_ALL_LANES = np.uint64(2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -135,49 +128,58 @@ def _member_columns(sets: np.ndarray) -> list[slice | np.ndarray]:
 
 
 def _all_failed(failed: np.ndarray, columns: list[slice | np.ndarray]) -> np.ndarray:
-    """Per row and per set, whether every member column failed."""
+    """Per word-row and per set, the lanes in which every member column failed."""
     out = failed[:, columns[0]] & failed[:, columns[1]]
     for col in columns[2:]:
         out &= failed[:, col]
     return out
 
 
-def _failed_slabs(seed: int, chunk: int, rows: int, machines: int, p: float):
-    """A chunk's machine failures as consecutive row slabs of its (rows,
-    machines) block, each yielded as a view of one reused buffer.
+def _bernoulli_words(p: float, size: int, draw) -> np.ndarray:
+    """`size` uint64 words whose lanes are each set iff the lane's uniform U
+    is below p, so with probability exactly p; `draw(k)` gives k random words.
 
-    A 16-bit cell fails iff it is below head = floor(p * 2^16).  A tie (a
-    cell equal to head, probability 2^-16) fails iff its double from the tie
-    stream is below frac = p * 2^16 - head; both parts are exact, so a cell
-    fails with probability p to within 2^-69, never at p = 0 and always at
-    p = 1 (head = 2^16).
-    """
-    counter = chunk << 128
-    cells_source = np.random.Philox(key=seed, counter=counter)
-    ties = np.random.Generator(np.random.Philox(key=seed, counter=counter + _TIE_ADVANCE))
-    scaled = math.ldexp(p, 16)
-    head = math.floor(scaled)
-    frac = scaled - head
-    slab = max(4, _SLAB_CELLS // (4 * machines) * 4)
-    failed = np.empty((min(slab, rows), machines), dtype=bool)
-    for start in range(0, rows, slab):
-        r = min(slab, rows - start)
-        words = cells_source.random_raw(-(-r * machines // 4))
-        cells = words.view(np.uint16)[: r * machines].reshape(r, machines)
-        f = np.less(cells, head, out=failed[:r])
-        if frac:
-            tied = np.flatnonzero(cells == head)
-            if tied.size:
-                f.flat[tied] = ties.random(tied.size) < frac
-        yield f
+    U's bits meet the digits of p = P / 2^E most significant first (Knuth and
+    Yao 1976): an undecided lane is set at a digit 1 over a bit 0, and clear
+    at a digit 0 over a bit 1.  Digits 1..7 draw for every word, later ones
+    for each word with an undecided lane, in order, until none is left; a
+    lane undecided after digit E has U >= p."""
+    failed = np.zeros(size, dtype=np.uint64)
+    if p == 1:
+        return ~failed
+    numerator, denominator = p.as_integer_ratio()
+    index = np.arange(size)              # the words drawn for
+    undecided = np.full(size, _ALL_LANES)
+    for i in range(1, denominator.bit_length()):
+        if i > 7:    # log2(64) + 1: most words hold an undecided lane till here
+            keep = np.flatnonzero(undecided)
+            index, undecided = index[keep], undecided[keep]
+        ones = draw(index.size) & undecided   # undecided lanes whose bit is 1
+        undecided ^= ones                     # those whose bit is 0
+        if (numerator << i) // denominator & 1:   # digit i of p
+            failed[index] |= undecided
+            undecided = ones
+        if not undecided.any():
+            break
+    return failed
+
+
+def _failed_slabs(seed: int, chunk: int, rows: int, machines: int, p: float):
+    """A chunk's failures: slabs of its ceil(rows / 64) x machines lane words
+    from its one Philox stream; callers mask off the lanes at or past rows."""
+    source = np.random.Philox(key=seed, counter=chunk << 128)
+    words = -(-rows // 64)
+    slab = max(1, _SLAB_WORDS // machines)
+    for start in range(0, words, slab):
+        w = min(slab, words - start)
+        yield _bernoulli_words(p, w * machines, source.random_raw).reshape(w, machines)
 
 
 def _lost_rows(
     failed: np.ndarray, families: list[list[slice | np.ndarray]]
 ) -> np.ndarray:
-    """Per row of a failure block, whether some set of some family failed
-    whole.  A bool block gives one bool a row; a bit-sliced uint64 block
-    gives one word a row, whose lane bits mark its lost scenarios."""
+    """Per word-row of a bit-sliced failure block, the word whose lane bits
+    mark the scenarios in which some set of some family failed whole."""
     lost = _all_failed(failed, families[0])
     for columns in families[1:]:
         lost |= _all_failed(failed, columns)
@@ -210,27 +212,34 @@ def mc_estimate(
     trial.  Trials are deterministic functions of (seed, trial index), so
     the estimate is identical for any worker count: `workers` (1..64) only
     caps the shares that `strides.imap` spreads the 4096-trial chunks
-    over.  half_width_95 is the 95% normal (Wald) half-width;
-    ci95_low and ci95_high are the 95% Wilson score interval, which stays
-    open at p_hat 0 and 1.
+    over.  A run of more than 3e10 machine-trial cells (trials x 7n) is
+    refused before any work.  half_width_95 is the 95% normal (Wald)
+    half-width; ci95_low and ci95_high are the 95% Wilson score interval,
+    which stays open at p_hat 0 and 1.
     """
     check_nodes(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    machines = MACHINES_PER_NODE * n
+    if trials * machines > _MAX_CELLS:
+        raise ValueError(
+            f"trials x 7n = {trials * machines} machine-trial cells exceed the "
+            f"limit of {_MAX_CELLS:.0e} (about a minute at one worker)"
+        )
     check_probability(p)
     if not 1 <= workers <= _MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{_MAX_WORKERS}, got {workers}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
-    machines = MACHINES_PER_NODE * n
-
     n_chunks = (trials + _CHUNK_TRIALS - 1) // _CHUNK_TRIALS
 
     def chunk_losses(c: int) -> int:
         rows = min(_CHUNK_TRIALS, trials - c * _CHUNK_TRIALS)
         slabs = _failed_slabs(seed, c, rows, machines, p)
-        return sum(int(np.count_nonzero(_lost_rows(f, families))) for f in slabs)
+        lost = np.concatenate([_lost_rows(f, families) for f in slabs])
+        lost[-1] &= _ALL_LANES >> np.uint64(-rows % 64)
+        return int(np.bitwise_count(lost).sum())
 
     losses = sum(strides.imap(chunk_losses, range(n_chunks), min(workers, n_chunks)))
     p_hat = losses / trials
@@ -267,18 +276,17 @@ def _word_blocks(m: int, low: int):
     ...), machines 6..low-1 all-ones or zero per word, the rest all-ones or
     zero per block."""
     words = np.arange(1 << (low - _LANE_BITS), dtype=np.uint64)
-    ones = np.uint64(2**64 - 1)
     failed = np.empty((words.size, m), dtype=np.uint64, order="F")
     for j in range(_LANE_BITS):
         failed[:, j] = _lane_word(_LANES >> np.uint64(j) & 1)
     for j in range(_LANE_BITS, low):
-        failed[:, j] = (words >> np.uint64(j - _LANE_BITS) & 1) * ones
+        failed[:, j] = (words >> np.uint64(j - _LANE_BITS) & 1) * _ALL_LANES
     failed[:, low:] = 0
     for block in range(1 << (m - low)):
         if block:
             # counting up sets the lowest clear bit and clears the bits below
             t = (block & -block).bit_length() - 1
-            failed[:, low + t] = ones
+            failed[:, low + t] = _ALL_LANES
             failed[:, low : low + t] = 0
         yield block, failed
 

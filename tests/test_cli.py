@@ -481,6 +481,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"usage error: n must be >= 1, got {nodes}" in captured.err
 
+    def test_loss_mc_refuses_a_run_over_the_cell_limit(self, capsys):
+        # 1e12 trials x 7000 machines; refused before any hosting set is built
+        start = time.monotonic()
+        assert run(["loss-mc", "--nodes", "1000", "--p", "0.05",
+                    "--trials", "1000000000000"]) == 1
+        assert time.monotonic() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: trials x 7n = 7000000000000000 machine-trial cells exceed "
+            "the limit of 3e+10 (about a minute at one worker)\n"
+        )
+
     @pytest.mark.parametrize(
         "flag, value", [("--samples", "0"), ("--samples", "-5"), ("--transient", "-50")]
     )

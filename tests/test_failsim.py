@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from cloudalloc import failsim
 from cloudalloc.failsim import (
-    _SLAB_CELLS,
     SCENARIO_MODES,
     McEstimate,
+    _bernoulli_words,
     _failed_slabs,
     _hosting_sets,
     _loss_counts,
@@ -119,12 +119,13 @@ class TestScenarioLoss:
         "n, mode", [(1, "group"), (3, "group"), (3, "structural"), (5, "structural")]
     )
     def test_lost_rows_matches_the_reference_row_by_row(self, n, mode):
-        # 4096 random scenarios at a p where both outcomes are common
+        # 4096 random scenarios at a p where both outcomes are common, each
+        # unpacked from its lane of the chunk's words
         families = [_member_columns(sets) for sets in _hosting_sets(n, mode)]
-        kernel, reference = [], []
-        for f in _failed_slabs(7, 0, 4096, 7 * n, 0.4):
-            kernel += _lost_rows(f, families).tolist()
-            reference += [scenario_loss(n, np.flatnonzero(row).tolist(), mode) for row in f]
+        words = _kernel_words(7, 0, 4096, n, 0.4)
+        kernel = _lanes(_lost_rows(words, families)).ravel().tolist()
+        rows = _lanes(words).transpose(0, 2, 1).reshape(4096, 7 * n)
+        reference = [scenario_loss(n, np.flatnonzero(row).tolist(), mode) for row in rows]
         assert len(kernel) == 4096
         assert 0 < sum(reference) < 4096
         assert kernel == reference
@@ -235,10 +236,10 @@ class TestMcEstimate:
             _assert_wilson_ends(est)
 
     def test_golden_estimate(self):
-        # pins the random stream: a change to how cells or ties are drawn
-        # must show up here, never silently
+        # pins the random stream: a change to how the lane sampler draws
+        # its words must show up here, never silently
         est = mc_estimate(10, 0.1, 20_000, seed=42)
-        assert est.p_hat == 253 / 20_000
+        assert est.p_hat == 251 / 20_000
 
     def test_deterministic_for_fixed_seed(self):
         a = mc_estimate(4, 0.2, 50_000, seed=77)
@@ -362,37 +363,55 @@ class TestMcEstimate:
         assert_no_children()
 
 
-def _whole_block_cells(seed, chunk, rows, n):
-    """A chunk's 16-bit cells as one (rows, 7n) block: the uint16 view of
-    one random_raw call on the chunk's stream, the way the kernel's row
-    slabs must reproduce them."""
-    cells = rows * 7 * n
-    words = np.random.Philox(key=seed).jumped(chunk).random_raw(-(-cells // 4))
-    return words.view(np.uint16)[:cells].reshape(rows, 7 * n)
+def _lanes(words):
+    """The 64 lanes of each uint64 word as bools: [..., l] is bit l."""
+    return np.unpackbits(words.astype("<u8")[..., None].view(np.uint8), axis=-1,
+                         bitorder="little") == 1
 
 
-def _whole_block_failures(cells, seed, chunk, p):
-    """Reference thresholds: a cell fails below floor(p 2^16); each tie, in
-    row-major order, fails iff its double from the chunk's stream advanced
-    by 2^127 is below the exact remainder."""
-    scaled = Fraction(p) * 2**16
-    head = math.floor(scaled)
-    failed = cells < head
-    tied = np.flatnonzero(cells == head)
-    ties = np.random.Generator(np.random.Philox(key=seed).jumped(chunk).advance(2**127))
-    failed.flat[tied] = ties.random(tied.size) < float(scaled - head)
+def _words(lanes):
+    """The inverse of `_lanes`: one uint64 word per 64 bools."""
+    return np.packbits(lanes, axis=-1, bitorder="little").view("<u8")[..., 0]
+
+
+def _replay_lanes(p, size, draw):
+    """The documented lane rule replayed one bool per lane, with p's digits
+    read off the exact rational p: at digit i every word draws while i <= 7,
+    after that each word with an undecided lane, in index order, until no
+    lane is undecided.  Returns (size, 64) bools, True where U < p."""
+    failed = np.zeros((size, 64), dtype=bool)
+    if p == 1:
+        return ~failed
+    undecided = ~failed
+    rest, i = Fraction(p), 0
+    while rest and undecided.any():
+        i += 1
+        digit, rest = divmod(2 * rest, 1)
+        drawn = np.arange(size) if i <= 7 else np.flatnonzero(undecided.any(axis=1))
+        bits = _lanes(draw(drawn.size))
+        if digit:
+            failed[drawn] |= undecided[drawn] & ~bits
+            undecided[drawn] &= bits
+        else:
+            undecided[drawn] &= ~bits
     return failed
 
 
-def _chunk_losses(seed, chunk, rows, machines, p, families):
-    """Trials of one chunk in which some set of some family failed whole:
-    `_lost_rows` summed over the chunk's row slabs."""
-    slabs = _failed_slabs(seed, chunk, rows, machines, p)
-    return sum(int(np.count_nonzero(_lost_rows(f, families))) for f in slabs)
+def _replay_chunk(seed, chunk, rows, n, p):
+    """A chunk's failures as (ceil(rows / 64), 7n, 64) bools, replayed slab
+    by slab from the state `jumped(chunk)` reaches: slabs of max(1, 8192 //
+    7n) word-rows, each drawn digit-major."""
+    machines = 7 * n
+    stream = np.random.Philox(key=seed).jumped(chunk)
+    words, slab = -(-rows // 64), max(1, 8192 // machines)
+    return np.concatenate([
+        _replay_lanes(p, min(slab, words - start) * machines, stream.random_raw)
+        for start in range(0, words, slab)
+    ]).reshape(words, machines, 64)
 
 
-def _kernel_failures(seed, chunk, rows, n, p):
-    return np.concatenate([f.copy() for f in _failed_slabs(seed, chunk, rows, 7 * n, p)])
+def _kernel_words(seed, chunk, rows, n, p):
+    return np.concatenate(list(_failed_slabs(seed, chunk, rows, 7 * n, p)))
 
 
 def _whole_block_losses(failed, n, hosts):
@@ -410,9 +429,23 @@ def _whole_block_losses(failed, n, hosts):
     return lost
 
 
+def _replay_losses(lanes, rows, n, hosts):
+    """Lost trials among the first `rows` of replayed lanes, one word-row of
+    64 trials at a time."""
+    return sum(
+        int(_whole_block_losses(word_row.T, n, hosts)[: rows - 64 * w].sum())
+        for w, word_row in enumerate(lanes)
+    )
+
+
+def _estimated_losses(n, p, rows, seed, mode):
+    """Lost trials of chunk 0, as mc_estimate counts them."""
+    return round(mc_estimate(n, p, rows, seed=seed, mode=mode).p_hat * rows)
+
+
 class TestChunkKernel:
-    # 2^-16: frac = 0, ties never fail; 3 * 2^-20: head = 0, only ties fail;
-    # 1 - 2^-53: head = 2^16 - 1 and frac just below 1
+    # 0.5 has one binary digit; 2^-16 and 3 * 2^-20 end past the seventh;
+    # 1 - 2^-53 has 53, all 1, and 5e-324 has 1074, only the last one 1
     PS = (0.0, 1.0, 0.03, 0.1, 0.5, 5e-324, 1 - 2**-53, 2**-16, 3 * 2**-20)
 
     @pytest.mark.parametrize(
@@ -420,68 +453,66 @@ class TestChunkKernel:
         [
             (n, rows)
             for n in (1, 3, 4, 10, 37, 1000)
-            for rows in (1, 7, 4096)
+            for rows in (1, 7, 63, 64, 65, 4096)
         ]
-        # 7n > _SLAB_CELLS: every slab is four rows
-        + [(_SLAB_CELLS // 7 + 1, 1), (_SLAB_CELLS // 7 + 1, 7)],
+        # 7n = 65541 > 8192 words: every slab is one word-row
+        + [(9363, 1), (9363, 7)],
     )
     def test_row_slabs_match_whole_block(self, n, rows):
-        cells = _whole_block_cells(5, 3, rows, n)
-        group = [_member_columns(s) for s in _hosting_sets(n, "group")]
+        views = [_member_columns(s) for s in _hosting_sets(n, "group")]
         gathers = [list(s.T) for s in _hosting_sets(n, "group")]  # no views
-        hosts = structural = None
-        if n >= 3:
-            hosts = build_placement(n).half_hosts()
-            structural = [_member_columns(s) for s in _hosting_sets(n, "structural")]
+        hosts = build_placement(n).half_hosts() if n >= 3 else None
         for p in self.PS:
-            failed = _whole_block_failures(cells, 5, 3, p)
-            assert np.array_equal(_kernel_failures(5, 3, rows, n, p), failed), (n, rows, p)
-            want = int(_whole_block_losses(failed, n, None).sum())
-            assert _chunk_losses(5, 3, rows, 7 * n, p, group) == want, (n, rows, p)
-            assert _chunk_losses(5, 3, rows, 7 * n, p, gathers) == want, (n, rows, p)
+            lanes = _replay_chunk(5, 0, rows, n, p)
+            words = _kernel_words(5, 0, rows, n, p)
+            assert np.array_equal(words, _words(lanes)), (n, rows, p)
+            lost = _lost_rows(words, views)
+            assert np.array_equal(_lost_rows(words, gathers), lost), (n, rows, p)
+            want = _replay_losses(lanes, rows, n, None)
+            assert _estimated_losses(n, p, rows, 5, "group") == want, (n, rows, p)
             if hosts:
-                want = int(_whole_block_losses(failed, n, hosts).sum())
-                got = _chunk_losses(5, 3, rows, 7 * n, p, structural)
-                assert got == want, (n, rows, p)
+                want = _replay_losses(lanes, rows, n, hosts)
+                assert _estimated_losses(n, p, rows, 5, "structural") == want, (n, rows, p)
 
     @pytest.mark.parametrize("n", [1, 10, 37])
-    def test_short_chunk_is_a_prefix_of_a_full_chunk(self, n):
-        # a threshold one cell of the 7th row ties with, so the prefix reads
-        # the tie stream too
-        cells = _whole_block_cells(8, 2, 7, n)
-        p = (int(cells[6, 0]) + 0.5) * 2**-16
-        full = _kernel_failures(8, 2, 4096, n, p)
-        assert np.array_equal(_kernel_failures(8, 2, 7, n, p), full[:7])
+    def test_short_chunk_masks_the_lanes_past_its_rows(self, n):
+        # rows 1..64 draw the same one word-row; a short chunk counts only
+        # the lanes below its rows
+        full = _kernel_words(8, 0, 64, n, 0.4)
         group = [_member_columns(s) for s in _hosting_sets(n, "group")]
-        lost = _whole_block_losses(full, n, None)
-        counts = [_chunk_losses(8, 2, rows, 7 * n, p, group) for rows in range(1, 8)]
-        assert counts == np.cumsum(lost[:7]).tolist()
+        lost = _lanes(_lost_rows(full, group))[0]
+        assert 0 < lost.sum() < 64
+        for rows in (1, 7, 63):
+            assert np.array_equal(_kernel_words(8, 0, rows, n, 0.4), full)
+        counts = [_estimated_losses(n, 0.4, rows, 8, "group") for rows in range(1, 65)]
+        assert counts == np.cumsum(lost).tolist()
 
     # the chunk counter c * 2^128 fills the third of Philox's four 64-bit
     # counter words, and 2^64 carries into the fourth
     @pytest.mark.parametrize("chunk", [0, 1, 2**64 - 1, 2**64, 2**127])
     def test_chunk_streams_start_where_jumps_reach(self, chunk):
-        cells = _whole_block_cells(8, chunk, 7, 10)
-        # thresholds tying with one cell at fractions k/32 read the first tie
-        # double to 5 bits
-        for k in range(1, 32):
-            p = (int(cells[6, 0]) + k / 32) * 2**-16
-            want = _whole_block_failures(cells, 8, chunk, p)
-            assert np.array_equal(_kernel_failures(8, chunk, 7, 10, p), want), (chunk, k)
+        for p in (0.1, 3 * 2**-20, 1 - 2**-53):
+            want = _words(_replay_chunk(8, chunk, 4096, 10, p))
+            assert np.array_equal(_kernel_words(8, chunk, 4096, 10, p), want), (chunk, p)
 
-    def test_only_slabs_that_tie_draw_tie_doubles(self):
-        # n = 1000 runs in 8-row slabs; a value absent from the first slab
-        # and held by exactly one cell of the second
-        n, slab = 1000, 8
-        cells = _whole_block_cells(8, 2, 2 * slab, n)
-        values, counts = np.unique(cells, return_counts=True)
-        once = set(values[counts == 1].tolist())
-        head = next(v for v in cells[slab:].flat if int(v) in once)
-        assert not (cells[:slab] == head).any() and (cells == head).sum() == 1
-        for k in range(1, 32):
-            p = (int(head) + k / 32) * 2**-16
-            want = _whole_block_failures(cells, 8, 2, p)
-            assert np.array_equal(_kernel_failures(8, 2, 2 * slab, n, p), want), k
+    def test_only_undecided_words_draw_after_the_seventh_digit(self):
+        # n = 1000 draws in slabs of one word-row, 7000 words; p = 2^-16 has
+        # 16 digits
+        stream, sizes = np.random.Philox(key=8), []
+
+        def draw(k):
+            sizes.append(k)
+            return stream.random_raw(k)
+
+        failed = _bernoulli_words(2**-16, 7000, draw)
+        assert sizes[:7] == [7000] * 7
+        assert all(a > b > 0 for a, b in zip(sizes[6:], sizes[7:]))
+        # each digit decides half of the undecided lanes, so at digit i > 7
+        # a word draws with probability 1 - (1 - 2^(1-i))^64: 7.85 in all
+        expected = 7 + sum(1 - (1 - 2.0 ** (1 - i)) ** 64 for i in range(8, 17))
+        assert abs(sum(sizes) / 7000 - expected) < 0.05
+        replay = _replay_lanes(2**-16, 7000, np.random.Philox(key=8).random_raw)
+        assert np.array_equal(failed, _words(replay))
 
     def test_evenly_stepped_ids_are_read_as_views(self):
         quads, triples = _hosting_sets(10, "group")
@@ -514,6 +545,60 @@ class TestChunkKernel:
     ):
         one = mc_estimate(n, p, trials, seed=seed, mode=mode, workers=1)
         assert mc_estimate(n, p, trials, seed=seed, mode=mode, workers=workers) == one
+
+
+class TestLaneSampler:
+    """`_bernoulli_words` fed known words through its `draw` hook."""
+
+    @staticmethod
+    def prefix_draw(word, b):
+        """Lane l of `word` of an enumeration of all b-bit prefixes of U,
+        prefix 64 word + l, most significant bit first: digit i draws
+        bit b - i of the prefix."""
+        _, block = next(_word_blocks(b, b))
+        digits = iter(range(b - 1, -1, -1))
+
+        def draw(k):
+            assert k == 1
+            return block[word : word + 1, next(digits)].copy()
+
+        return draw
+
+    @pytest.mark.parametrize("b", [6, 7, 8, 11])
+    def test_dyadic_p_fails_exactly_k_of_the_prefixes(self, b):
+        # b > 7 reaches the digits that draw only for undecided words
+        ks = range(2**b + 1) if b <= 8 else [*range(0, 2**b, 43), 2**b - 1, 2**b]
+        for k in ks:
+            p = k / 2**b
+            failed = sum(
+                int(np.bitwise_count(_bernoulli_words(p, 1, self.prefix_draw(w, b)))[0])
+                for w in range(2 ** (b - 6))
+            )
+            assert failed == k, (b, k)
+
+    def test_p_zero_and_one_draw_nothing(self):
+        def draw(k):
+            raise AssertionError("drew")
+
+        assert not _bernoulli_words(0.0, 3, draw).any()
+        assert (_bernoulli_words(1.0, 3, draw) == 2**64 - 1).all()
+
+    @pytest.mark.parametrize(
+        "p, before, last",
+        [(5e-324, 0, 1074), (1 - 2**-53, 2**64 - 1, 53)],
+    )
+    def test_the_last_digit_of_p_decides(self, p, before, last):
+        # U equal to p on its first `last` bits stays clear (U >= p); at
+        # p's last digit, a 1, the lanes whose bit is 0 are set
+        pattern, sizes = 0xAAAA_AAAA_AAAA_AAAA, []
+
+        def draw(k):
+            sizes.append(k)
+            return np.full(k, before if len(sizes) < last else pattern, dtype=np.uint64)
+
+        failed = _bernoulli_words(p, 2, draw)
+        assert sizes == [2] * last
+        assert failed.tolist() == [pattern ^ (2**64 - 1)] * 2
 
 
 class TestExhaustive:
@@ -565,14 +650,12 @@ class TestExhaustive:
         families = [_member_columns(sets) for sets in _hosting_sets(3, mode)]
         block, words = next(itertools.islice(_word_blocks(21, 15), 37, None))
 
-        def lanes(w):
-            return np.unpackbits(w.astype("<u8").view(np.uint8), bitorder="little") == 1
-
-        rows = np.stack([lanes(words[:, j]) for j in range(21)], axis=1)
+        rows = _lanes(words).transpose(0, 2, 1).reshape(1 << 15, 21)
         scenarios = (block << 15) + np.arange(1 << 15)
         assert np.array_equal(rows, scenarios[:, None] >> np.arange(21) & 1 == 1)
-        lost = lanes(_lost_rows(words, families))
-        assert np.array_equal(lost, _lost_rows(rows, families))
+        lost = _lanes(_lost_rows(words, families)).ravel()
+        hosts = build_placement(3).half_hosts() if mode == "structural" else None
+        assert np.array_equal(lost, _whole_block_losses(rows, 3, hosts))
         assert 0 < lost.sum() < lost.size
         for s in range(0, 1 << 15, 997):
             assert lost[s] == scenario_loss(3, np.flatnonzero(rows[s]).tolist(), mode)

@@ -69,7 +69,7 @@ ARGV = [
         for mode in ("group", "structural")
         for workers in (1, 2, 3)
     ),
-    # two chunks, the second short, in 8-row slabs
+    # two chunks, the second short, in slabs of one word-row
     *(
         ["loss-mc", "--nodes", "1000", "--p", "0.05", "--trials", "4100",
          "--workers", str(workers)]
