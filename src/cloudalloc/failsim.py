@@ -45,9 +45,13 @@ _CHUNK_TRIALS = 4096
 # Lane words are drawn in slabs of max(1, this // 7n) word-rows (64 KiB),
 # digit-major, so this constant is part of the stream, as the chunk size is.
 _SLAB_WORDS = 1 << 13
-# A run may draw at most this many machine-trial cells (trials x 7n): about
-# a minute at one worker for n >= 10, at 0.5e9 to 0.9e9 cells per second.
+# A run may draw at most this many machine-trial cells, charging each trial
+# max(7n, _MIN_TRIAL_CELLS): about a minute at one worker for every n.  Below
+# n = 6 a chunk's fixed numpy calls, not its cells, set a trial's cost: on a
+# 2-vCPU host one worker ran 2.3e8 cells/s at n = 1, 2.8e8 at n = 3, 7.1e8 at
+# n = 10 and 8.6e8 from n = 30 up.
 _MAX_CELLS = 3 * 10**10
+_MIN_TRIAL_CELLS = 42
 _Z95 = 1.96
 # `workers` caps the processes that run strided shares of the chunks; a cap
 # above this is refused as a usage error, whatever the usable CPUs.
@@ -212,19 +216,20 @@ def mc_estimate(
     trial.  Trials are deterministic functions of (seed, trial index), so
     the estimate is identical for any worker count: `workers` (1..64) only
     caps the shares that `strides.imap` spreads the 4096-trial chunks
-    over.  A run of more than 3e10 machine-trial cells (trials x 7n) is
-    refused before any work.  half_width_95 is the 95% normal (Wald)
-    half-width; ci95_low and ci95_high are the 95% Wilson score interval,
-    which stays open at p_hat 0 and 1.
+    over.  A run of more than 3e10 machine-trial cells, each trial charged
+    max(7n, 42) of them, is refused before any work.  half_width_95 is the
+    95% normal (Wald) half-width; ci95_low and ci95_high are the 95% Wilson
+    score interval, which stays open at p_hat 0 and 1.
     """
     check_nodes(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     machines = MACHINES_PER_NODE * n
-    if trials * machines > _MAX_CELLS:
+    cells = trials * max(machines, _MIN_TRIAL_CELLS)
+    if cells > _MAX_CELLS:
         raise ValueError(
-            f"trials x 7n = {trials * machines} machine-trial cells exceed the "
-            f"limit of {_MAX_CELLS:.0e} (about a minute at one worker)"
+            f"trials x max(7n, {_MIN_TRIAL_CELLS}) = {cells} machine-trial cells exceed "
+            f"the limit of {_MAX_CELLS:.0e} (about a minute at one worker)"
         )
     check_probability(p)
     if not 1 <= workers <= _MAX_WORKERS:

@@ -490,8 +490,26 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "usage error: trials x 7n = 7000000000000000 machine-trial cells exceed "
-            "the limit of 3e+10 (about a minute at one worker)\n"
+            "usage error: trials x max(7n, 42) = 7000000000000000 machine-trial cells "
+            "exceed the limit of 3e+10 (about a minute at one worker)\n"
+        )
+
+    def test_loss_mc_charges_a_small_cluster_the_per_trial_floor(self, capsys, monkeypatch):
+        # at n = 1 a trial is 7 cells but costs about 42: 1e9 trials would be
+        # 7e9 cells, yet take minutes, so they are refused before any fork
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        start = time.monotonic()
+        assert run(["loss-mc", "--nodes", "1", "--p", "0.1", "--trials", "1000000000",
+                    "--workers", "2"]) == 1
+        assert time.monotonic() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: trials x max(7n, 42) = 42000000000 machine-trial cells "
+            "exceed the limit of 3e+10 (about a minute at one worker)\n"
         )
 
     @pytest.mark.parametrize(

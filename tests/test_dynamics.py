@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import random
@@ -99,6 +100,12 @@ def qr_benettin(params_list, states, iterations):
         else ([tuple(float(e) for e in h[i]) for h in history], None)
         for i in range(n)
     ]
+
+
+@pytest.fixture(scope="module")
+def acceptance_scan():
+    """Acceptance 04's 400-point alpha scan, run once for every test that reads it."""
+    return bifurcation_scan(params(0.5, 1.28, 1.23), "alpha", 0.01, 1.0, 400, S0)
 
 
 def assert_histories_close(got, want, tol):
@@ -293,6 +300,26 @@ class TestLyapunovSpectrum:
             spec = lyapunov_spectrum(p, S0, iterations=10_000)
             assert_histories_close([h[1:] for h in spec.history], ref_history, 1e-12)
 
+    def test_stable_origin_spectrum_matches_analytic_and_householder(self):
+        # where the origin attracts the orbit (xi1 * xi2 < 1, alpha < 1), the
+        # spectrum is (log alpha, log xi1xi2 / 2, log xi1xi2 / 2); the grid
+        # reaches alpha = 0.01, where a two-stage block stretches its third
+        # column about 2500 times less than the first two
+        pairs = ((0.1, 0.1), (0.5, 0.5), (0.2, 1.18), (1.4, 0.6), (0.63, 0.086))
+        grid = [(a, x1, x2) for a in (0.01, 0.03, 0.1, 0.3, 0.6, 0.96) for x1, x2 in pairs]
+        plist = [params(*abc) for abc in grid]
+        refs = qr_benettin(plist, [S0] * len(plist), 10_000)
+        for (a, x1, x2), p, (ref_history, stage) in zip(grid, plist, refs):
+            assert stage is None
+            spec = lyapunov_spectrum(p, S0, iterations=10_000)
+            half = 0.5 * math.log(x1 * x2)
+            analytic = sorted((math.log(a), half, half), reverse=True)
+            # at 10k iterations the worst grid point is 6.6e-4 from the limit
+            for got, want in zip(spec.exponents, analytic):
+                assert got == pytest.approx(want, abs=1e-3), (a, x1, x2)
+            for got, want in zip(spec.exponents, ref_history[-1]):
+                assert abs(got - want) <= 1e-12, (a, x1, x2)
+
     def test_annihilated_tangent_column(self):
         # xi1 = 0 (xi2 = 0) zeroes the Jacobian's second (third) column, so
         # the first Gram-Schmidt stage meets a zero vector: that direction
@@ -391,9 +418,8 @@ class TestBifurcationScan:
         assert min(ordered) < min(chaotic)
         assert max(ordered) < max(chaotic)
 
-    def test_acceptance_alpha_sweep_matches_householder_qr_reference(self):
-        base = params(0.5, 1.28, 1.23)
-        scan = bifurcation_scan(base, "alpha", 0.01, 1.0, 400, S0)
+    def test_acceptance_alpha_sweep_matches_householder_qr_reference(self, acceptance_scan):
+        scan = acceptance_scan
         # reference: chained step_two_user for transient + samples, then the
         # QR loop from each surviving end state, stages counted on from there
         want = {}
@@ -428,6 +454,19 @@ class TestBifurcationScan:
             if not gp.divergent:
                 worst = max(worst, abs(gp.lambda_max - lambdas[gp.value]))
         assert worst <= 1e-12
+
+    def test_acceptance_alpha_sweep_census(self, acceptance_scan):
+        # the labels `classify_attractor` gives the scan's lambda_max at the
+        # default band; the value closest to a band edge is 1.7e-6 from it
+        def label(gp):
+            if gp.divergent:
+                return "divergent"
+            return classify_attractor(LyapunovSpectrum((gp.lambda_max,) * 3, 4000, ())).value
+
+        census = collections.Counter(label(gp) for gp in acceptance_scan.points)
+        assert census == {
+            "divergent": 76, "chaotic": 214, "quasiperiodic": 97, "fixed/periodic": 13,
+        }
 
     def test_divergence_stage_matches_iterate(self):
         base = params(0.5, 1.28, 1.23)

@@ -51,6 +51,10 @@ ARGV = [
     ["lyapunov", *_CHAOS, "--iters", "2000"],
     ["lyapunov", *_CHAOS, "--iters", "1050", "--format", "csv"],
     ["lyapunov", "--alpha", "0.9", "--xi1", "1.4", "--xi2", "0.8", "--iters", "3000"],
+    # every block longer than one stage fails the stretch bound here, so the
+    # tangent kernel runs one Gram-Schmidt pass per stage: these are the bytes
+    # of a kernel without blocks
+    ["lyapunov", "--alpha", "0.001", "--xi1", "0.5", "--xi2", "0.5", "--iters", "2000"],
     _SCALE_SUM_ABOVE_ONE,
     ["bifurcate", *_SWEEP, "--param", "alpha", "--lo", "0.2", "--hi", "0.9", "--points", "3"],
     ["bifurcate", *_SWEEP, "--param", "xi1", "--lo", "0.6", "--hi", "1.7", "--points", "4"],
