@@ -321,7 +321,7 @@ def _cmd_loss_mc(args):
 
 def _cmd_verify_coefficients(args):
     counts = failsim.verify_coefficients()
-    expected = replication.BASE_COEFFS + (0, 0)
+    expected = replication.loss_polynomial(1)
     result = {
         "non_fatal_counts": list(counts),
         "expected": list(expected),

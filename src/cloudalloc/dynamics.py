@@ -405,6 +405,12 @@ def _with_swept(base: ModelParams, name: str, value: float) -> ModelParams:
     raise ValueError(f"unknown sweep parameter {name!r}; expected one of {SWEEPABLE}")
 
 
+# A sweep may run at most this many map stages, points x (transient + samples
+# + lyap_iterations), before its grid is built: about a minute at one CPU,
+# where a 2-vCPU host ran 1.3-1.9 us a stage.  Acceptance 04's sweep is 2.04e6.
+_MAX_SWEEP_STAGES = 3 * 10**7
+
+
 def bifurcation_scan(
     base_params: ModelParams,
     param: str,
@@ -421,7 +427,9 @@ def bifurcation_scan(
     exponent along the `lyap_iterations` stages that follow them.
     Divergent grid points are marked with the stage that left the bound,
     not fatal.  Each grid point restarts from the same s0, so results are
-    independent of evaluation order.
+    independent of evaluation order.  A sweep of more than 3e7 stages,
+    points x (transient + samples + lyap_iterations), is refused before its
+    grid is built.
 
     The grid points run through `strides.imap` with one share per point:
     this process computes points 0, k, 2k, ... and a forked child each
@@ -444,6 +452,12 @@ def bifurcation_scan(
     if not lo < hi:
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
     _check_iterations(lyap_iterations)
+    stages = points * (transient + samples + lyap_iterations)
+    if stages > _MAX_SWEEP_STAGES:
+        raise ValueError(
+            f"points x (transient + samples + lyap_iterations) = {stages} stages exceed "
+            f"the limit of {_MAX_SWEEP_STAGES:.0e} (about a minute at one CPU)"
+        )
     grid = np.linspace(lo, hi, points).tolist()
     # Every ModelParams check admits an interval of the swept value, so
     # valid lo and hi make the whole grid valid: build them first, and a bad

@@ -1,12 +1,11 @@
 """Monte Carlo and brute-force oracles for the loss combinatorics.
 
-The generating-polynomial coefficients in `replication` presuppose a
-fatal-set family: within one 7-machine group (4 owner-rack + 3
-user-rack), data is lost iff all four owner machines fail or all three
-user machines fail.  That family is a reconstruction -- it is the unique
-monotone family whose per-size survivor counts reproduce the published
-coefficient list -- and `verify_coefficients` re-derives the counts by
-exhaustive enumeration of one group to pin it down.
+`replication` derives its survival polynomial from a fatal-set family:
+within one 7-machine group (4 owner-rack + 3 user-rack), data is lost iff
+all four owner machines fail or all three user machines fail.
+`verify_coefficients` checks the derived counts by exhaustive enumeration
+of one group's hosting sets, and `_loss_counts` counts the lost subsets of
+larger clusters per size the same way; neither reads the polynomial.
 
 Each scenario mode is a hosting-set family of n quadruples and n triples
 (`_hosting_sets`): the groups, or the hosts of each node's half A and B in
@@ -30,6 +29,7 @@ from .replication import (
     MACHINES_PER_NODE,
     build_placement,
     check_nodes,
+    check_placement_nodes,
     check_probability,
     owner_machine_ids,
     user_machine_ids,
@@ -217,11 +217,13 @@ def mc_estimate(
     the estimate is identical for any worker count: `workers` (1..64) only
     caps the shares that `strides.imap` spreads the 4096-trial chunks
     over.  A run of more than 3e10 machine-trial cells, each trial charged
-    max(7n, 42) of them, is refused before any work.  half_width_95 is the
+    max(7n, 42) of them, or of more than 50 000 nodes, is refused before any
+    work.  half_width_95 is the
     95% normal (Wald) half-width; ci95_low and ci95_high are the 95% Wilson
     score interval, which stays open at p_hat 0 and 1.
     """
     check_nodes(n)
+    check_placement_nodes(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     machines = MACHINES_PER_NODE * n

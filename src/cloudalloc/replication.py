@@ -6,16 +6,16 @@ racks -- owner block i holds {P_i, S1_{i+1}, S2_{i+2}} on four machines
 (the primary is split across two), user block i holds
 {S1_i, S2_{i+1}, S1_{i+2}} on three -- giving 7n machines in total.
 
-Loss probabilities come from the survival generating polynomial
-(1 + 7x + 21x^2 + 34x^3 + 30x^4 + 12x^5)^n, whose coefficients count the
-failure subsets of a 7-machine group that destroy no half; see failsim
-for the brute-force reconstruction of those counts.  The polynomial's
-coefficients come from J. C. P. Miller's power recurrence, exact in
-integers and cached per n.
+A group loses data iff its owner block or its user block fails whole
+(`GROUP_SET_SIZES`; failsim checks that family by enumeration), so its
+survival polynomial is prod_s ((1+x)^s - x^s) = 1 + 7x + ... + 12x^5, and
+the n-th power, whose coefficients count the failure subsets that destroy
+no half, comes from J. C. P. Miller's power recurrence, exact in integers
+and cached per n.
 
-Three loss routes must agree.  `closed-form`, 1 - (1 - p^3 - p^4 + p^7)^n
-in exact rationals, is the production route; `exact-bigint` (the double
-sum over failure counts in big integers, evaluated by binary splitting) and
+Three loss routes must agree.  `closed-form`, 1 - prod_s (1 - p^s)^n in
+exact rationals, is the production route; `exact-bigint` (the double sum
+over failure counts in big integers, evaluated by binary splitting) and
 `log-domain` (the same sum in log space) are independent oracles that
 share only the survival polynomial.
 """
@@ -27,24 +27,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Survival coefficients (1, 7, 21, 34, 30, 12) of one 7-machine group:
-# a_f counts the f-machine failure subsets that destroy no data half.
-# a1 = C(7,6) and a2 = C(7,5) (one or two failures are always safe),
-# a3 = C(7,4) - 1 (only the all-user triple is fatal),
-# a4 = C(7,3) - C(4,3) - 1, a5 = C(7,2) - C(4,2) - C(3,2), and every
-# subset of six or more machines loses a half.
-BASE_COEFFS = (
-    1,
-    math.comb(7, 6),                                  # 7
-    math.comb(7, 5),                                  # 21
-    math.comb(7, 4) - 1,                              # 34
-    math.comb(7, 3) - math.comb(4, 3) - 1,            # 30
-    math.comb(7, 2) - math.comb(4, 2) - math.comb(3, 2),  # 12
-)
-
-MACHINES_PER_NODE = 7
 OWNER_MACHINES_PER_BLOCK = 4
 USER_MACHINES_PER_BLOCK = 3
+# The fatal sets of one group: data is lost iff either block fails whole.
+GROUP_SET_SIZES = (OWNER_MACHINES_PER_BLOCK, USER_MACHINES_PER_BLOCK)
+MACHINES_PER_NODE = sum(GROUP_SET_SIZES)
+
+
+def _group_survival() -> tuple[int, ...]:
+    """prod_s ((1+x)^s - x^s) over GROUP_SET_SIZES, whose x^s terms cancel:
+    coefficient f counts the f-machine failure subsets of one group that
+    fail no set whole, (1, 7, 21, 34, 30, 12)."""
+    coeffs = [1]
+    for s in GROUP_SET_SIZES:
+        coeffs = [sum(math.comb(s, f - i) * c for i, c in enumerate(coeffs) if 0 <= f - i < s)
+                  for f in range(len(coeffs) + s - 1)]
+    return tuple(coeffs)
+
+
+BASE_COEFFS = _group_survival()
 
 LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 
@@ -54,7 +55,11 @@ LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 # p = 0.0103, but 0.7-1.2 s at n = 400 for p = 1e-300 or 5e-324, where d
 # has about 1000 bits (shared 2-vCPU machine, Python 3.11).  Every n the
 # report and the acceptance gate use (<= 200) stays inside the budget.
-_EXACT_BIGINT_MAX_MACHINES = 7 * 400
+_EXACT_BIGINT_MAX_MACHINES = MACHINES_PER_NODE * 400
+# A placement, or a Monte Carlo run's hosting sets, holds per-node tuples of
+# labels and machine ids: at this many nodes the structural hosting sets
+# peaked at 92 MiB and build_placement at 56 MiB (tracemalloc, Python 3.11).
+_MAX_PLACEMENT_NODES = 50_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ _KIND_HALVES = {"P": ("A", "B"), "S1": ("A",), "S2": ("B",)}
 
 
 def build_placement(n: int) -> PlacementPlan:
-    """Cyclic placement for n >= 3 nodes: 7n machines across two racks.
+    """Cyclic placement for 3 <= n <= 50 000 nodes: 7n machines across two racks.
 
     The primary copy of node i is split into halves A and B on two
     dedicated machines; every S1 entry hosts half A of its node and
@@ -120,6 +125,7 @@ def build_placement(n: int) -> PlacementPlan:
     """
     if n < 3:
         raise ValueError(f"placement requires n >= 3 nodes, got {n}")
+    check_placement_nodes(n)
 
     # one label per replica, shared by the blocks that hold it:
     # P[i], S1[i] and S2[i] are the copies of node i + 1
@@ -151,6 +157,16 @@ def check_nodes(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def check_placement_nodes(n: int) -> None:
+    """Refuse a node count whose per-node tuples would not fit in about
+    100 MiB, before any is built."""
+    if n > _MAX_PLACEMENT_NODES:
+        raise ValueError(
+            f"n = {n} nodes exceed the placement limit of {_MAX_PLACEMENT_NODES} "
+            f"(about 100 MiB of per-node machine-id tuples)"
+        )
+
+
 def check_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -158,8 +174,8 @@ def check_probability(p: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def loss_polynomial(n: int) -> tuple[int, ...]:
-    """Exact integer coefficients of the n-th power of the base polynomial
-    (length 5n + 1), cached per n.
+    """Exact integer coefficients c_0..c_7n of the n-th power of the base
+    polynomial (zero past degree 5n), cached per n.
 
     J. C. P. Miller's recurrence for powers of a power series (Knuth,
     TAOCP Vol. 2, 4.7): with c_0 = 1,
@@ -173,7 +189,7 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
     n1 = n + 1
     c1, c2, c3, c4, c5 = 1, 0, 0, 0, 0
     coeffs = [1]
-    for k in range(1, 5 * n + 1):
+    for k in range(1, MACHINES_PER_NODE * n + 1):
         s = ((n1 - k) * a1 * c1 + (2 * n1 - k) * a2 * c2 + (3 * n1 - k) * a3 * c3
              + (4 * n1 - k) * a4 * c4 + (5 * n1 - k) * a5 * c5)
         c, r = divmod(s, k)
@@ -186,14 +202,12 @@ def loss_polynomial(n: int) -> tuple[int, ...]:
 
 def prob_no_loss(n: int, f: int) -> float:
     """Probability that f uniformly random machine failures destroy no half:
-    coeff(x^f) / C(7n, f) for f <= 5n, zero beyond (exact ratio, floated)."""
+    coeff(x^f) / C(7n, f) (exact ratio, floated)."""
     check_nodes(n)
-    if not 0 <= f <= MACHINES_PER_NODE * n:
-        raise ValueError(f"f must lie in [0, {MACHINES_PER_NODE * n}], got {f}")
-    if f > 5 * n:
-        return 0.0
-    coeffs = loss_polynomial(n)
-    return float(Fraction(coeffs[f], math.comb(MACHINES_PER_NODE * n, f)))
+    m = MACHINES_PER_NODE * n
+    if not 0 <= f <= m:
+        raise ValueError(f"f must lie in [0, {m}], got {f}")
+    return float(Fraction(loss_polynomial(n)[f], math.comb(m, f)))
 
 
 def prob_f_failures(n: int, f: int, p: float) -> float:
@@ -221,13 +235,12 @@ def _check_exact_bigint_budget(n: int) -> None:
 
 
 def _loss_weights(n: int):
-    """Yield w_f = C(7n, f) - c_f for f = 3..7n, the binomial stepped up
+    """Yield w_f = C(7n, f) - c_f for f = 0..7n, the binomial stepped up
     with f."""
     m = MACHINES_PER_NODE * n
-    coeffs = loss_polynomial(n)
-    comb = math.comb(m, 3)
-    for f in range(3, m + 1):
-        yield comb - (coeffs[f] if f <= 5 * n else 0)
+    comb = 1
+    for f, c_f in enumerate(loss_polynomial(n)):
+        yield comb - c_f
         comb = comb * (m - f) // (f + 1)
 
 
@@ -264,14 +277,13 @@ def _split_sum(weights, a: int, b: int, length: int) -> int:
 def _exact_loss(n: int, p: float) -> LossResult:
     # Work over the common denominator d^(7n) with p = a/d exactly, so the
     # whole double sum stays in integer arithmetic until the final division:
-    # S = sum_{f=3..7n} w_f a^(f-3) b^(7n-f) by binary splitting, then
-    # total = a^3 S.
+    # total = sum_{f=0..7n} w_f a^f b^(7n-f) by binary splitting.
     _check_exact_bigint_budget(n)
     m = MACHINES_PER_NODE * n
     fp = Fraction(p)
     a, d = fp.numerator, fp.denominator
-    total = _split_sum(_loss_weights(n), a, d - a, m - 2)
-    return LossResult(p_loss=total * a**3 / d**m)
+    total = _split_sum(_loss_weights(n), a, d - a, m + 1)
+    return LossResult(p_loss=total / d**m)
 
 
 def _log_domain_loss(n: int, p: float) -> LossResult:
@@ -287,9 +299,8 @@ def _log_domain_loss(n: int, p: float) -> LossResult:
     lg_m1 = math.lgamma(m + 1)
 
     terms = []
-    comb = math.comb(m, 3)  # C(m, f), stepped up with f
-    for f in range(3, m + 1):
-        c_f = coeffs[f] if f <= 5 * n else 0
+    comb = 1  # C(m, f), stepped up with f
+    for f, c_f in enumerate(coeffs):
         weight = comb - c_f
         if weight:
             log_binom = lg_m1 - math.lgamma(f + 1) - math.lgamma(m - f + 1)
@@ -301,11 +312,11 @@ def _log_domain_loss(n: int, p: float) -> LossResult:
 
 
 def _closed_form_loss(n: int, p: float) -> LossResult:
-    # One group dies iff its owner quadruple or user triple fails whole:
-    # P(fatal) = p^4 + p^3 - p^7, groups are independent.  Evaluated as an
-    # exact rational to keep the tiny-probability regime meaningful.
+    # One group survives iff none of its fatal sets fails whole, and its
+    # sets are disjoint, as the groups are.  Evaluated as an exact rational
+    # to keep the tiny-probability regime meaningful.
     fp = Fraction(p)
-    survive = 1 - fp**3 - fp**4 + fp**7
+    survive = math.prod(1 - fp**s for s in GROUP_SET_SIZES)
     return LossResult(p_loss=float(1 - survive**n))
 
 
@@ -313,10 +324,10 @@ def prob_data_loss(n: int, p: float, method: str) -> LossResult:
     """Probability that random machine failures (each machine independently
     fails with probability p) destroy every copy of some data half.
 
-    closed-form    -- 1 - (1 - p^3 - p^4 + p^7)^n, the independent-group
+    closed-form    -- 1 - prod_s (1 - p^s)^n, the independent-group
                       reduction in exact rationals; the production route.
-    exact-bigint   -- oracle: the double sum over failure counts f = 3..5n
-                      (weighted by the survival polynomial) and f = 5n+1..7n,
+    exact-bigint   -- oracle: the sum over failure counts f = 0..7n, each
+                      weighted by C(7n, f) less its survival coefficient,
                       in exact integers, evaluated by binary splitting so
                       the big products pair operands of similar size;
                       refused (ValueError) above n = 400.

@@ -513,6 +513,45 @@ class TestUsageErrors:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loss-mc", "--nodes", "10000000", "--p", "0.1", "--trials", "1",
+             "--mode", "structural", "--workers", "2"],
+            ["placement", "--nodes", "10000000"],
+        ],
+    )
+    def test_refuses_more_nodes_than_a_placement_holds(self, argv, capsys, monkeypatch):
+        # 1e7 nodes of per-node tuples would need about 18 GiB; refused
+        # before any is built and before any fork
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        start = time.monotonic()
+        assert run(argv) == 1
+        assert time.monotonic() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: n = 10000000 nodes exceed the placement limit of 50000 "
+            "(about 100 MiB of per-node machine-id tuples)\n"
+        )
+
+    def test_bifurcate_refuses_a_sweep_over_the_stage_limit(self, capsys):
+        start = time.monotonic()
+        assert run(
+            ["bifurcate", "--alpha", "0.5", "--xi1", "1.28", "--xi2", "1.23",
+             "--param", "alpha", "--lo", "0.3", "--hi", "0.6", "--points", "100000000"]
+        ) == 1
+        assert time.monotonic() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: points x (transient + samples + lyap_iterations) = 510000000000 "
+            "stages exceed the limit of 3e+07 (about a minute at one CPU)\n"
+        )
+
+    @pytest.mark.parametrize(
         "flag, value", [("--samples", "0"), ("--samples", "-5"), ("--transient", "-50")]
     )
     def test_bifurcate_rejects_an_empty_sample_window(self, flag, value, capsys):

@@ -540,6 +540,23 @@ class TestBifurcationScan:
             bifurcation_scan(params(0.5, 0.1, 0.1), "alpha", 0.5, 1.5, 1, S0)
         assert len(calls) == 1
 
+    def test_oversized_sweep_refused_before_its_grid(self, monkeypatch):
+        # acceptance 04's 400 x 5100 stages pass; 1e8 points would build
+        # about 24 GiB of grid and ModelParams before the first orbit
+        def no_grid(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(dynamics.np, "linspace", no_grid)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"= 510000000000 stages exceed the limit of 3e\+07"):
+            bifurcation_scan(params(0.5, 1.28, 1.23), "alpha", 0.01, 1.0, 10**8, S0)
+        with pytest.raises(ValueError, match=r"= 30000001 stages exceed"):
+            bifurcation_scan(
+                params(0.5, 1.28, 1.23), "alpha", 0.01, 1.0, 1, S0,
+                transient=0, samples=1, lyap_iterations=30_000_000,
+            )
+        assert time.monotonic() - start < 0.5
+
     @pytest.mark.parametrize("window", [{"samples": 0}, {"samples": -5}, {"transient": -50}])
     def test_empty_sample_window_rejected(self, window):
         with pytest.raises(ValueError):

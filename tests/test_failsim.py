@@ -643,6 +643,19 @@ class TestExhaustive:
         assert got == prob_data_loss(4, 0.3, "closed-form").p_loss
         assert got == prob_data_loss(4, 0.3, "exact-bigint").p_loss
 
+    # structural placements start at n = 3
+    @pytest.mark.parametrize(
+        "n, mode", [(2, "group"), (3, "group"), (3, "structural"), (4, "structural")]
+    )
+    def test_counts_match_the_polynomial_coefficient_by_coefficient(self, n, mode):
+        # c_f counts the f-machine failure subsets that lose nothing; the
+        # enumeration reads the hosting sets, never the polynomial
+        lost = _loss_counts(n, mode)
+        coeffs = loss_polynomial(n)
+        assert len(coeffs) == len(lost) == 7 * n + 1
+        for f, c in enumerate(coeffs):
+            assert c == math.comb(7 * n, f) - int(lost[f]), (n, mode, f)
+
     @pytest.mark.parametrize("mode", SCENARIO_MODES)
     def test_a_bit_sliced_block_matches_its_bool_rows(self, mode):
         # block 37 of n = 3 (machines 15, 17 and 20 failed), its 2^15

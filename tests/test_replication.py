@@ -122,6 +122,10 @@ class TestPlacement:
         with pytest.raises(ValueError, match="placement requires n >= 3 nodes, got 2"):
             build_placement(2)
 
+    def test_too_many_nodes_refused(self):
+        with pytest.raises(ValueError, match="^n = 50001 nodes exceed the placement limit"):
+            build_placement(50_001)
+
     def test_ten_nodes_has_seventy_machines(self):
         plan = build_placement(10)
         assert list(machine_halves(plan)) == list(range(70))
@@ -197,7 +201,8 @@ class TestBasePolynomial:
 
 class TestLossPolynomial:
     def test_first_power_is_base(self):
-        assert loss_polynomial(1) == BASE_COEFFS
+        # all 7n + 1 coefficients: no subset of six or seven machines survives
+        assert loss_polynomial(1) == BASE_COEFFS + (0, 0)
 
     def test_cube_quadratic_coefficient(self):
         # hand convolution: 3*a2 + 3*a1^2 = 3*21 + 3*49 = 210
@@ -219,11 +224,12 @@ class TestLossPolynomial:
             assert at(coeffs, -1) == (-1) ** n, n
 
     def test_length(self):
-        assert len(loss_polynomial(7)) == 36
+        assert len(loss_polynomial(7)) == 50
+        assert loss_polynomial(7)[35:] == (12**7,) + (0,) * 14
 
     def test_matches_convolution_oracle(self):
         for n in (*range(1, 61), 100):
-            assert loss_polynomial(n) == convolution_power(n), n
+            assert loss_polynomial(n) == convolution_power(n) + (0,) * (2 * n), n
 
     def test_coefficients_bounded_by_binomials(self):
         for n in (3, 5, 10):
