@@ -174,11 +174,24 @@ class LyapunovSpectrum:
         return self.exponents[0]
 
 
+# A Lyapunov estimate, or a whole sweep, may run at most this many map
+# stages: about a minute at one CPU, where a 2-vCPU host ran 1.3-1.9 us a
+# sweep stage and 1.4-2.8 us a tangent stage.  A Lyapunov history holds one
+# row per _HISTORY_STRIDE stages, about 90 MiB at the limit.  Acceptance 04's
+# sweep is 2.04e6 stages and the gate's Lyapunov runs are 1e5.
+_MAX_STAGES = 3 * 10**7
+
+
 def _check_iterations(iterations: int) -> None:
-    """A Lyapunov estimate averages over at least 1000 tangent stages.
+    """A Lyapunov estimate averages over 1000 to 3e7 tangent stages.
     `bifurcation_scan` checks it before any fork."""
     if iterations < 1000:
         raise ValueError(f"iterations must be >= 1000, got {iterations}")
+    if iterations > _MAX_STAGES:
+        raise ValueError(
+            f"iterations = {iterations} exceed the limit of {_MAX_STAGES:.0e} "
+            f"(about a minute at one CPU)"
+        )
 
 
 def _tangent_orbit(
@@ -345,7 +358,8 @@ def lyapunov_spectrum(
     run, estimate the exponents.  This is the numerically stable equivalent
     of eigen-analyzing the accumulated tangent product, which overflows
     after a few dozen stages.  The work is done by `_tangent_orbit` in plain
-    floats, with no per-stage numpy call.
+    floats, with no per-stage numpy call.  `iterations` must lie in
+    1000..3e7, checked before the first stage.
     """
     _, means = _tangent_orbit(params, s0, 0, 0, iterations)
     history = tuple((k, *sorted(m, reverse=True)) for k, *m in means)
@@ -405,12 +419,6 @@ def _with_swept(base: ModelParams, name: str, value: float) -> ModelParams:
     raise ValueError(f"unknown sweep parameter {name!r}; expected one of {SWEEPABLE}")
 
 
-# A sweep may run at most this many map stages, points x (transient + samples
-# + lyap_iterations), before its grid is built: about a minute at one CPU,
-# where a 2-vCPU host ran 1.3-1.9 us a stage.  Acceptance 04's sweep is 2.04e6.
-_MAX_SWEEP_STAGES = 3 * 10**7
-
-
 def bifurcation_scan(
     base_params: ModelParams,
     param: str,
@@ -453,10 +461,10 @@ def bifurcation_scan(
         raise ValueError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
     _check_iterations(lyap_iterations)
     stages = points * (transient + samples + lyap_iterations)
-    if stages > _MAX_SWEEP_STAGES:
+    if stages > _MAX_STAGES:
         raise ValueError(
             f"points x (transient + samples + lyap_iterations) = {stages} stages exceed "
-            f"the limit of {_MAX_SWEEP_STAGES:.0e} (about a minute at one CPU)"
+            f"the limit of {_MAX_STAGES:.0e} (about a minute at one CPU)"
         )
     grid = np.linspace(lo, hi, points).tolist()
     # Every ModelParams check admits an interval of the swept value, so

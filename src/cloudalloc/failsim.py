@@ -27,8 +27,10 @@ import numpy as np
 from . import strides
 from .replication import (
     MACHINES_PER_NODE,
-    build_placement,
+    OWNER_MACHINES_PER_BLOCK,
+    USER_MACHINES_PER_BLOCK,
     check_nodes,
+    check_placement_minimum,
     check_placement_nodes,
     check_probability,
     owner_machine_ids,
@@ -84,18 +86,25 @@ def _hosting_sets(n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
 
     group:      owner block i and user block i (any n >= 1).
     structural: the hosts of each node's half A (4 machines) and half B
-                (3 machines) in build_placement(n).
+                (3 machines) in build_placement(n), each row sorted, read
+                off its slot pattern without building the plan.
     """
-    nodes = range(1, n + 1)
     if mode == "group":
+        nodes = range(1, n + 1)
         quads = [owner_machine_ids(i) for i in nodes]
         triples = [user_machine_ids(n, i) for i in nodes]
-    elif mode == "structural":
-        hosts = build_placement(n).half_hosts()
-        quads = [hosts[(i, "A")] for i in nodes]
-        triples = [hosts[(i, "B")] for i in nodes]
-    else:
+        return np.array(quads), np.array(triples)
+    if mode != "structural":
         raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
+    check_placement_minimum(n)
+    # owner block j (0-based) is P_j's halves A, B, then S1_{j+1} (A) and
+    # S2_{j+2} (B); user block j is S1_j (A), S2_{j+1} (B), S1_{j+2} (A)
+    owner = [OWNER_MACHINES_PER_BLOCK * j for j in range(n)]
+    user = [OWNER_MACHINES_PER_BLOCK * n + USER_MACHINES_PER_BLOCK * j for j in range(n)]
+    quads = [
+        sorted((owner[j], owner[j - 1] + 2, user[j], user[j - 2] + 2)) for j in range(n)
+    ]
+    triples = [sorted((owner[j] + 1, owner[j - 2] + 3, user[j - 1] + 1)) for j in range(n)]
     return np.array(quads), np.array(triples)
 
 
@@ -141,7 +150,8 @@ def _all_failed(failed: np.ndarray, columns: list[slice | np.ndarray]) -> np.nda
 
 def _bernoulli_words(p: float, size: int, draw) -> np.ndarray:
     """`size` uint64 words whose lanes are each set iff the lane's uniform U
-    is below p, so with probability exactly p; `draw(k)` gives k random words.
+    is below p, so with probability exactly p.  `draw(k)` returns a fresh
+    uint64 array of k random words, which the sampler overwrites in place.
 
     U's bits meet the digits of p = P / 2^E most significant first (Knuth and
     Yao 1976): an undecided lane is set at a digit 1 over a bit 0, and clear
@@ -152,19 +162,35 @@ def _bernoulli_words(p: float, size: int, draw) -> np.ndarray:
     if p == 1:
         return ~failed
     numerator, denominator = p.as_integer_ratio()
-    index = np.arange(size)              # the words drawn for
+    digits = denominator.bit_length()
     undecided = np.full(size, _ALL_LANES)
-    for i in range(1, denominator.bit_length()):
-        if i > 7:    # log2(64) + 1: most words hold an undecided lane till here
-            keep = np.flatnonzero(undecided)
-            index, undecided = index[keep], undecided[keep]
-        ones = draw(index.size) & undecided   # undecided lanes whose bit is 1
-        undecided ^= ones                     # those whose bit is 0
+    # log2(64) + 1: most words hold an undecided lane through digit 7
+    for i in range(1, min(8, digits)):
+        ones = draw(size)
+        ones &= undecided          # undecided lanes whose bit is 1
+        undecided ^= ones          # those whose bit is 0
         if (numerator << i) // denominator & 1:   # digit i of p
-            failed[index] |= undecided
+            failed |= undecided
             undecided = ones
         if not undecided.any():
-            break
+            return failed
+    index = None                   # the words drawn for; None while all are
+    for i in range(8, digits):
+        keep = undecided.nonzero()[0]
+        if keep.size < undecided.size:
+            if not keep.size:
+                break
+            index = keep if index is None else index[keep]
+            undecided = undecided[keep]
+        ones = draw(keep.size)
+        ones &= undecided
+        undecided ^= ones
+        if (numerator << i) // denominator & 1:
+            if index is None:
+                failed |= undecided
+            else:
+                failed[index] |= undecided
+            undecided = ones
     return failed
 
 

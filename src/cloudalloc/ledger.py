@@ -16,6 +16,9 @@ from .model import ModelParams, SystemState, two_user_orbit
 
 MEGABYTE = 1_000_000.0
 GIGABYTE = 1_000_000_000.0
+# A report may iterate at most this many stages from s0 to its last stage:
+# about a minute, where a 2-vCPU host ran 0.33-0.39 us a stage.
+_MAX_STAGES = 15 * 10**7
 
 
 def _sign(value: float) -> int:
@@ -53,8 +56,9 @@ def allocation_report(
     requested stages.
 
     `stages` must be nonempty, sorted ascending and lie at or after s0's
-    stage; `unit_scale` (bytes per model unit) finite and > 0.  Divergence
-    surfaces as DivergenceError from the raw orbit.
+    stage, the last at most 1.5e8 stages after it; `unit_scale` (bytes per
+    model unit) finite and > 0.  Divergence surfaces as DivergenceError
+    from the raw orbit.
     """
     if not (math.isfinite(unit_scale) and unit_scale > 0):
         raise ValueError(f"unit_scale must be finite and > 0, got {unit_scale}")
@@ -65,6 +69,11 @@ def allocation_report(
         raise ValueError(f"stages must be strictly ascending, got {stages}")
     if stages[0] < s0.l:
         raise ValueError(f"stage {stages[0]} precedes the initial stage {s0.l}")
+    if stages[-1] - s0.l > _MAX_STAGES:
+        raise ValueError(
+            f"stage {stages[-1]} lies {stages[-1] - s0.l} stages past the initial stage, "
+            f"beyond the limit of {_MAX_STAGES:.1e} (about a minute)"
+        )
 
     wanted = set(stages)
     orbit = chain([(s0.l, s0.v_c, *s0.x)], two_user_orbit(params, s0, stages[-1] - s0.l))

@@ -57,8 +57,9 @@ LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 # report and the acceptance gate use (<= 200) stays inside the budget.
 _EXACT_BIGINT_MAX_MACHINES = MACHINES_PER_NODE * 400
 # A placement, or a Monte Carlo run's hosting sets, holds per-node tuples of
-# labels and machine ids: at this many nodes the structural hosting sets
-# peaked at 92 MiB and build_placement at 56 MiB (tracemalloc, Python 3.11).
+# labels and machine ids: at this many nodes build_placement peaked at 56 MiB,
+# and the group and structural hosting sets, built without a plan, at 22 and
+# 25 MiB (tracemalloc, Python 3.11).
 _MAX_PLACEMENT_NODES = 50_000
 
 
@@ -123,8 +124,7 @@ def build_placement(n: int) -> PlacementPlan:
     every S2 entry half B, so no machine ever stores more than 50% of a
     node's chunk set.
     """
-    if n < 3:
-        raise ValueError(f"placement requires n >= 3 nodes, got {n}")
+    check_placement_minimum(n)
     check_placement_nodes(n)
 
     # one label per replica, shared by the blocks that hold it:
@@ -155,6 +155,13 @@ def render_plan(plan: PlacementPlan) -> str:
 def check_nodes(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def check_placement_minimum(n: int) -> None:
+    """A cyclic placement puts copies of three consecutive nodes in a block,
+    so it needs three nodes."""
+    if n < 3:
+        raise ValueError(f"placement requires n >= 3 nodes, got {n}")
 
 
 def check_placement_nodes(n: int) -> None:

@@ -419,6 +419,11 @@ class TestUsageErrors:
              "seed components must be finite, got [(nan, 0.0, 0.0)]"),
             (["lyapunov", "--iters", "1000", "--zero-band", "nan"],
              "zero_band must be > 0, got nan"),
+            (["lyapunov", "--iters", "30000001"],
+             "iterations = 30000001 exceed the limit of 3e+07 (about a minute at one CPU)"),
+            (["storage-report", "--stages", "1,150000001"],
+             "stage 150000001 lies 150000001 stages past the initial stage, "
+             "beyond the limit of 1.5e+08 (about a minute)"),
             (["bifurcate", "--alpha", "0.5", "--xi1", "0.1", "--xi2", "0.1", "--param", "alpha",
               "--lo", "0.5", "--hi", "1.5", "--points", "200"],
              "alpha must lie in (0, 1], got 1.5"),
@@ -428,7 +433,8 @@ class TestUsageErrors:
              "alpha must lie in (0, 1], got 7.0"),
         ],
         ids=["int-list-token", "empty-stages", "seed-arity", "empty-seeds", "nan-seed",
-             "nan-zero-band", "sweep-end", "one-point-sweep-end"],
+             "nan-zero-band", "lyapunov-iters", "storage-stages", "sweep-end",
+             "one-point-sweep-end"],
     )
     def test_refused_arguments(self, argv, message, capsys):
         params = ["--alpha", "0.6", "--xi1", "1.28", "--xi2", "1.23"]

@@ -292,6 +292,21 @@ class TestLyapunovSpectrum:
         with pytest.raises(ValueError):
             lyapunov_spectrum(params(0.5, 0.5, 0.5), S0, iterations=100)
 
+    def test_oversized_run_refused_before_any_stage(self, monkeypatch):
+        # the gate's 1e5 iterations pass; 1e10 would take about six hours
+        # and hold 1e8 history rows
+        def no_orbit(*args):
+            raise AssertionError("the orbit was stepped")
+
+        monkeypatch.setattr(dynamics, "two_user_orbit", no_orbit)
+        for iterations in (30_000_001, 10**10):
+            with pytest.raises(ValueError) as exc:
+                lyapunov_spectrum(params(0.5, 0.5, 0.5), S0, iterations=iterations)
+            assert str(exc.value) == (
+                f"iterations = {iterations} exceed the limit of 3e+07 "
+                "(about a minute at one CPU)"
+            )
+
     def test_history_matches_householder_qr_reference(self):
         plist = [params(*abc) for abc in ORBIT_REGIMES]
         refs = qr_benettin(plist, [S0] * len(plist), 10_000)

@@ -196,6 +196,18 @@ class TestHostingSets:
         assert quads.tolist() == [list(b.machine_ids) for b in plan.owner_blocks]
         assert triples.tolist() == [list(b.machine_ids) for b in plan.user_blocks]
 
+    def test_structural_sets_are_the_placements_half_hosts(self):
+        # the slot arithmetic against the plan it describes, block by block
+        for n in [*range(3, 301), 9363]:
+            hosts = build_placement(n).half_hosts()
+            quads, triples = _hosting_sets(n, "structural")
+            assert quads.tolist() == [list(hosts[(i, "A")]) for i in range(1, n + 1)], n
+            assert triples.tolist() == [list(hosts[(i, "B")]) for i in range(1, n + 1)], n
+
+    def test_structural_sets_need_a_placement(self):
+        with pytest.raises(ValueError, match="placement requires n >= 3 nodes, got 2"):
+            _hosting_sets(2, "structural")
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_group_sets_below_the_placement_minimum(self, n):
         # no plan exists for n < 3; the groups are the blocks' machine ids
@@ -575,6 +587,35 @@ class TestLaneSampler:
                 for w in range(2 ** (b - 6))
             )
             assert failed == k, (b, k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.one_of(
+            st.floats(0.0, 1.0),
+            st.integers(0, 2**7).map(lambda k: k / 2**7),
+        ),
+        size=st.integers(1, 9000),
+        key=st.integers(0, 2**64 - 1),
+    )
+    def test_lanes_and_stream_position_match_the_replay(self, p, size, key):
+        stream, replay = np.random.Philox(key=key), np.random.Philox(key=key)
+        failed = _bernoulli_words(p, size, stream.random_raw)
+        assert np.array_equal(failed, _words(_replay_lanes(p, size, replay.random_raw)))
+        assert stream.random_raw() == replay.random_raw()
+
+    def test_a_slab_decided_at_the_third_digit_draws_three_times(self):
+        # p = 0.3 begins 0.010: lanes stay undecided over a 0 at digit 1,
+        # fail over a 0 at digit 2, and are cleared by all-ones at digit 3
+        pattern, sizes = 0xF0F0_F0F0_F0F0_F0F0, []
+        words = [0, pattern, 2**64 - 1]
+
+        def draw(k):
+            sizes.append(k)
+            return np.full(k, words[len(sizes) - 1], dtype=np.uint64)
+
+        failed = _bernoulli_words(0.3, 5000, draw)
+        assert sizes == [5000] * 3
+        assert failed.tolist() == [pattern ^ (2**64 - 1)] * 5000
 
     def test_p_zero_and_one_draw_nothing(self):
         def draw(k):

@@ -70,6 +70,24 @@ class TestAllocationReport:
         with pytest.raises(ValueError, match="stage 1 precedes the initial stage 3"):
             allocation_report(p, state(1.0, (0.0, 0.0), l=3), [1], 1.0)
 
+    def test_a_last_stage_too_far_from_s0_is_refused_before_the_orbit(self, monkeypatch):
+        def no_orbit(*args, **kwargs):
+            raise AssertionError("the orbit was stepped")
+
+        monkeypatch.setattr(ledger, "two_user_orbit", no_orbit)
+        p = ModelParams.two_user(0.6, 1.25, 1.28)
+        with pytest.raises(ValueError) as exc:
+            allocation_report(p, state(1.0, (0.1, 0.1), l=5), [10, 150_000_006], 1.0)
+        assert str(exc.value) == (
+            "stage 150000006 lies 150000001 stages past the initial stage, "
+            "beyond the limit of 1.5e+08 (about a minute)"
+        )
+
+    def test_the_last_stage_at_the_limit_is_admitted(self, monkeypatch):
+        monkeypatch.setattr(ledger, "two_user_orbit", lambda *args: iter(()))
+        p = ModelParams.two_user(0.6, 1.25, 1.28)
+        assert allocation_report(p, state(1.0, (0.1, 0.1), l=5), [150_000_005], 1.0) == []
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_unit_scale_is_refused_before_the_orbit(self, scale, monkeypatch):
         def no_orbit(*args, **kwargs):
