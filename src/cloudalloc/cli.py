@@ -274,6 +274,7 @@ def _cmd_storage_report(args):
 
 def _cmd_placement(args):
     plan = replication.build_placement(args.nodes)
+    blocks = plan.owner_blocks + plan.user_blocks
     config = _config_dict(args)
     if args.format == "json":
         result = {
@@ -283,14 +284,20 @@ def _cmd_placement(args):
                 {
                     "rack": b.rack,
                     "index": b.index,
-                    "members": [str(e) for e in b.entries],
+                    "members": list(b.entries),
                     "machine_ids": list(b.machine_ids),
                 }
-                for b in plan.owner_blocks + plan.user_blocks
+                for b in blocks
             ],
         }
         return _json_document(config, result)
-    return [_comment_header(config), replication.render_plan(plan)]
+    # one block a line: rack, index, member labels, machine ids
+    lines = (
+        f"{b.rack} {b.index} {' '.join(b.entries)} "
+        f"machines={','.join(map(str, b.machine_ids))}\n"
+        for b in blocks
+    )
+    return [_comment_header(config), "".join(lines)]
 
 
 def _cmd_loss_exact(args):

@@ -177,7 +177,7 @@ class LyapunovSpectrum:
 # A Lyapunov estimate, or a whole sweep, may run at most this many map
 # stages: about a minute at one CPU, where a 2-vCPU host ran 1.3-1.9 us a
 # sweep stage and 1.4-2.8 us a tangent stage.  A Lyapunov history holds one
-# row per _HISTORY_STRIDE stages, about 90 MiB at the limit.  Acceptance 04's
+# row per _HISTORY_STRIDE stages, about 66 MiB at the limit.  Acceptance 04's
 # sweep is 2.04e6 stages and the gate's Lyapunov runs are 1e5.
 _MAX_STAGES = 3 * 10**7
 
@@ -210,10 +210,10 @@ def _tangent_orbit(
     re-orthonormalized by modified Gram-Schmidt once per block of up to
     _BLOCK_STAGES stages, whose stretch factors r_jj equal |R_jj| of a QR
     factorization of the block's Jacobian product applied to the frame.
-    Returns (v samples, means): means holds (k, s1/k, s2/k, s3/k), the
-    log-stretch sums in column order averaged over the first k stages, every
+    Returns (v samples, means): means holds (k, l1, l2, l3), the log-stretch
+    sums averaged over the first k stages and sorted descending, every
     _HISTORY_STRIDE stages and at k == iterations, so its last entry is the
-    final estimate.
+    final estimate; it is the history `lyapunov_spectrum` returns.
 
     Blocks tile each run of stages between history entries (one pass every
     few stages: Geist, Parlitz and Lauterborn, Prog. Theor. Phys. 83, 1990).
@@ -342,7 +342,7 @@ def _tangent_orbit(
         if r1 < root * r3 and r1 < root * r2:
             length = min(2 * length, most)
         k += end
-        means.append((k, s1 / k, s2 / k, s3 / k))
+        means.append((k, *sorted((s1 / k, s2 / k, s3 / k), reverse=True)))
     return v_samples, means
 
 
@@ -362,7 +362,7 @@ def lyapunov_spectrum(
     1000..3e7, checked before the first stage.
     """
     _, means = _tangent_orbit(params, s0, 0, 0, iterations)
-    history = tuple((k, *sorted(m, reverse=True)) for k, *m in means)
+    history = tuple(means)
     return LyapunovSpectrum(
         exponents=history[-1][1:], iterations=iterations, history=history
     )
@@ -482,7 +482,7 @@ def bifurcation_scan(
             v_samples, means = _tangent_orbit(p, s0, transient, samples, lyap_iterations)
         except DivergenceError as exc:
             return GridPointResult(value, (), math.nan, True, exc.stage)
-        return GridPointResult(value, tuple(v_samples), max(means[-1][1:]), False, None)
+        return GridPointResult(value, tuple(v_samples), means[-1][1], False, None)
 
     return BifurcationScan(
         points=tuple(strides.imap(point, list(zip(grid, grid_params)), points))

@@ -9,12 +9,13 @@ larger clusters per size the same way; neither reads the polynomial.
 
 Each scenario mode is a hosting-set family of n quadruples and n triples
 (`_hosting_sets`): the groups, or the hosts of each node's half A and B in
-a PlacementPlan, which shares machines across blocks, so single scenarios
-may disagree (measured, never assumed away).  Monte Carlo, exhaustive
-enumeration and the coefficient check feed failure blocks to one
-predicate (`_lost_rows`) on bit-sliced uint64 words, one scenario a lane,
-random or enumerated: some set failed completely.  `scenario_loss` is its
-row-by-row reference, a set-inclusion test over the same family."""
+the cyclic placement (`replication.half_host_ids`), which spread across
+blocks, so single scenarios may disagree (measured, never assumed away).
+Monte Carlo, exhaustive enumeration and the coefficient check feed failure
+blocks to one predicate (`_lost_rows`) on bit-sliced uint64 words, one
+scenario a lane, random or enumerated: some set failed completely.
+`scenario_loss` is its row-by-row reference, a set-inclusion test over the
+same family."""
 
 from __future__ import annotations
 
@@ -27,12 +28,10 @@ import numpy as np
 from . import strides
 from .replication import (
     MACHINES_PER_NODE,
-    OWNER_MACHINES_PER_BLOCK,
-    USER_MACHINES_PER_BLOCK,
     check_nodes,
-    check_placement_minimum,
     check_placement_nodes,
     check_probability,
+    half_host_ids,
     owner_machine_ids,
     user_machine_ids,
 )
@@ -86,8 +85,8 @@ def _hosting_sets(n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
 
     group:      owner block i and user block i (any n >= 1).
     structural: the hosts of each node's half A (4 machines) and half B
-                (3 machines) in build_placement(n), each row sorted, read
-                off its slot pattern without building the plan.
+                (3 machines), each row ascending, as
+                replication.half_host_ids(n) walks them (n >= 3).
     """
     if mode == "group":
         nodes = range(1, n + 1)
@@ -96,15 +95,7 @@ def _hosting_sets(n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
         return np.array(quads), np.array(triples)
     if mode != "structural":
         raise ValueError(f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}")
-    check_placement_minimum(n)
-    # owner block j (0-based) is P_j's halves A, B, then S1_{j+1} (A) and
-    # S2_{j+2} (B); user block j is S1_j (A), S2_{j+1} (B), S1_{j+2} (A)
-    owner = [OWNER_MACHINES_PER_BLOCK * j for j in range(n)]
-    user = [OWNER_MACHINES_PER_BLOCK * n + USER_MACHINES_PER_BLOCK * j for j in range(n)]
-    quads = [
-        sorted((owner[j], owner[j - 1] + 2, user[j], user[j - 2] + 2)) for j in range(n)
-    ]
-    triples = [sorted((owner[j] + 1, owner[j - 2] + 3, user[j - 1] + 1)) for j in range(n)]
+    quads, triples = half_host_ids(n)
     return np.array(quads), np.array(triples)
 
 

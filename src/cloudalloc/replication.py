@@ -4,7 +4,8 @@ Each of n nodes is replicated three times: a full primary copy P_i plus
 two half copies S1_i and S2_i.  Blocks are formed cyclically on two
 racks -- owner block i holds {P_i, S1_{i+1}, S2_{i+2}} on four machines
 (the primary is split across two), user block i holds
-{S1_i, S2_{i+1}, S1_{i+2}} on three -- giving 7n machines in total.
+{S1_i, S2_{i+1}, S1_{i+2}} on three -- giving 7n machines in total.  One
+layout table states this; `build_placement` and `half_host_ids` walk it.
 
 A group loses data iff its owner block or its user block fails whole
 (`GROUP_SET_SIZES`; failsim checks that family by enumeration), so its
@@ -27,8 +28,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-OWNER_MACHINES_PER_BLOCK = 4
-USER_MACHINES_PER_BLOCK = 3
+# The data halves each replica kind puts on its block's machines, in
+# entry order: a primary is split across two machines, S1 hosts half A
+# and S2 half B.
+_KIND_HALVES = {"P": ("A", "B"), "S1": ("A",), "S2": ("B",)}
+# Block i of each rack as (replica kind, node offset) entries, nodes mod n.
+# Machine ids count up through the owner rack's blocks, then the user
+# rack's, one id per half.
+_RACK_LAYOUT = (
+    ("owner", (("P", 0), ("S1", 1), ("S2", 2))),
+    ("user", (("S1", 0), ("S2", 1), ("S1", 2))),
+)
+OWNER_MACHINES_PER_BLOCK, USER_MACHINES_PER_BLOCK = (
+    sum(len(_KIND_HALVES[kind]) for kind, _ in entries) for _, entries in _RACK_LAYOUT
+)
 # The fatal sets of one group: data is lost iff either block fails whole.
 GROUP_SET_SIZES = (OWNER_MACHINES_PER_BLOCK, USER_MACHINES_PER_BLOCK)
 MACHINES_PER_NODE = sum(GROUP_SET_SIZES)
@@ -57,26 +70,17 @@ LOSS_METHODS = ("exact-bigint", "log-domain", "closed-form")
 # report and the acceptance gate use (<= 200) stays inside the budget.
 _EXACT_BIGINT_MAX_MACHINES = MACHINES_PER_NODE * 400
 # A placement, or a Monte Carlo run's hosting sets, holds per-node tuples of
-# labels and machine ids: at this many nodes build_placement peaked at 56 MiB,
+# labels and machine ids: at this many nodes build_placement peaked at 47 MiB,
 # and the group and structural hosting sets, built without a plan, at 22 and
-# 25 MiB (tracemalloc, Python 3.11).
+# 24 MiB (tracemalloc, Python 3.11).
 _MAX_PLACEMENT_NODES = 50_000
-
-
-@dataclass(frozen=True)
-class ReplicaLabel:
-    kind: str   # "P", "S1" or "S2"
-    node: int   # 1-based node index
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.node}" if self.kind == "P" else f"{self.kind}_{self.node}"
 
 
 @dataclass(frozen=True)
 class Block:
     rack: str
     index: int
-    entries: tuple[ReplicaLabel, ...]
+    entries: tuple[str, ...]   # replica labels: "P1", "S1_2", "S2_3"
     machine_ids: tuple[int, ...]
 
 
@@ -98,23 +102,6 @@ class PlacementPlan:
     owner_blocks: tuple[Block, ...]
     user_blocks: tuple[Block, ...]
 
-    def half_hosts(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """Machine ids hosting each (node, half) pair.  A block's entries
-        put their halves (`_KIND_HALVES`) on its machines in entry order,
-        one half per machine."""
-        hosts: dict[tuple[int, str], list[int]] = {}
-        for b in self.owner_blocks + self.user_blocks:
-            halves = [(e.node, h) for e in b.entries for h in _KIND_HALVES[e.kind]]
-            for machine_id, half in zip(b.machine_ids, halves, strict=True):
-                hosts.setdefault(half, []).append(machine_id)
-        return {k: tuple(sorted(v)) for k, v in sorted(hosts.items())}
-
-
-# The data halves each replica kind puts on its block's machines, in
-# entry order: a primary is split across two machines, S1 hosts half A
-# and S2 half B.
-_KIND_HALVES = {"P": ("A", "B"), "S1": ("A",), "S2": ("B",)}
-
 
 def build_placement(n: int) -> PlacementPlan:
     """Cyclic placement for 3 <= n <= 50 000 nodes: 7n machines across two racks.
@@ -126,29 +113,42 @@ def build_placement(n: int) -> PlacementPlan:
     """
     check_placement_minimum(n)
     check_placement_nodes(n)
-
     # one label per replica, shared by the blocks that hold it:
-    # P[i], S1[i] and S2[i] are the copies of node i + 1
-    P, S1, S2 = ([ReplicaLabel(kind, i) for i in range(1, n + 1)] for kind in ("P", "S1", "S2"))
-    owner_blocks = tuple(
-        Block("owner", i + 1, (P[i], S1[(i + 1) % n], S2[(i + 2) % n]), owner_machine_ids(i + 1))
-        for i in range(n)
-    )
-    user_blocks = tuple(
-        Block("user", i + 1, (S1[i], S2[(i + 1) % n], S1[(i + 2) % n]), user_machine_ids(n, i + 1))
-        for i in range(n)
-    )
-    return PlacementPlan(n, owner_blocks, user_blocks)
+    # labels[kind][i] names the copy of node i + 1
+    labels = {
+        kind: [f"{kind}{i}" if kind == "P" else f"{kind}_{i}" for i in range(1, n + 1)]
+        for kind in _KIND_HALVES
+    }
+    racks, machine = [], 0
+    # a group's fatal sets are its two blocks, so their sizes are the blocks'
+    for (rack, entries), size in zip(_RACK_LAYOUT, GROUP_SET_SIZES):
+        blocks = []
+        for i in range(n):
+            members = tuple(labels[kind][(i + offset) % n] for kind, offset in entries)
+            blocks.append(Block(rack, i + 1, members, tuple(range(machine, machine + size))))
+            machine += size
+        racks.append(tuple(blocks))
+    return PlacementPlan(n, *racks)
 
 
-def render_plan(plan: PlacementPlan) -> str:
-    """One block per line: rack, index, member labels, machine ids."""
-    lines = []
-    for block in plan.owner_blocks + plan.user_blocks:
-        members = " ".join(str(e) for e in block.entries)
-        ids = ",".join(str(i) for i in block.machine_ids)
-        lines.append(f"{block.rack} {block.index} {members} machines={ids}")
-    return "\n".join(lines) + "\n"
+def half_host_ids(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The machine ids hosting each node's half A (four) and half B (three)
+    in build_placement(n), in node order: the one derivation of the hosts.
+    The walk meets the ids in ascending order, so each list comes sorted."""
+    check_placement_minimum(n)
+    check_placement_nodes(n)
+    hosts = {half: [[] for _ in range(n)] for half in ("A", "B")}
+    machine = 0
+    for _, entries in _RACK_LAYOUT:
+        # per machine of a block, its node offset and the host lists of its half
+        slots = [
+            (offset, hosts[half]) for kind, offset in entries for half in _KIND_HALVES[kind]
+        ]
+        for i in range(n):
+            for offset, lists in slots:
+                lists[(i + offset) % n].append(machine)
+                machine += 1
+    return hosts["A"], hosts["B"]
 
 
 # The input rules of the loss engine, shared by its oracles in failsim.

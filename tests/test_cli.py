@@ -835,9 +835,12 @@ class TestAnalysisCommands:
         assert [row.split(",")[0] for row in lines[3:]] == ["1", "10", "20"]
 
     def test_placement_text(self, capsys):
+        # the comment header, then one block per line
         assert run(["placement", "--nodes", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in out
+        lines = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+        assert len(lines) == 6
+        assert lines[0] == "owner 1 P1 S1_2 S2_3 machines=0,1,2,3"
+        assert lines[3] == "user 1 S1_1 S2_2 S1_3 machines=12,13,14"
 
     def test_module_entry_point(self):
         src = str(Path(cloudalloc.__file__).resolve().parents[1])

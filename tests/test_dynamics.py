@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -276,6 +277,23 @@ class TestLyapunovSpectrum:
         spec = lyapunov_spectrum(p, S0, iterations=1050)
         assert spec.history[-1] == (1050, *spec.exponents)
         assert [h[0] for h in spec.history] == [*range(100, 1050, 100), 1050]
+
+    def test_history_is_the_kernels_rows(self, monkeypatch):
+        # the kernel appends each row sorted; the spectrum wraps its list and
+        # builds no row of its own, so it allocates about a pointer a row
+        p = params(0.6, 1.28, 1.23)
+        _, means = dynamics._tangent_orbit(p, S0, 0, 0, 100_000)
+        assert all(row[1] >= row[2] >= row[3] for row in means)
+        monkeypatch.setattr(dynamics, "_tangent_orbit", lambda *args: ([], means))
+        tracemalloc.start()
+        try:
+            spec = lyapunov_spectrum(p, S0, iterations=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.history == tuple(means)
+        assert spec.exponents == means[-1][1:]
+        assert peak < 16 * len(means)
 
     def test_exponent_sum_equals_mean_log_jacobian_determinant(self):
         p = params(0.6, 1.28, 1.23)

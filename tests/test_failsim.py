@@ -39,7 +39,7 @@ from cloudalloc.replication import (
     prob_no_loss,
     user_machine_ids,
 )
-from conftest import assert_no_children, fake_cpus
+from conftest import assert_no_children, fake_cpus, placement_hosts, slot_hosts
 
 
 class TestGroupFatal:
@@ -95,7 +95,7 @@ class TestScenarioLoss:
 
     def test_both_primary_machines_alone_survive_structurally(self):
         plan = build_placement(3)
-        hosts = plan.half_hosts()
+        hosts = slot_hosts(3)
         primaries = [
             i for i in plan.owner_blocks[0].machine_ids
             if i in hosts[(1, "A")] + hosts[(1, "B")]
@@ -104,8 +104,7 @@ class TestScenarioLoss:
         assert not scenario_loss(3, primaries, "structural")
 
     def test_all_hosts_of_one_half_lost_structurally(self):
-        plan = build_placement(3)
-        assert scenario_loss(3, plan.half_hosts()[(2, "B")], "structural")
+        assert scenario_loss(3, slot_hosts(3)[(2, "B")], "structural")
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match=r"^machine ids \[21\] outside 0\.\.20$"):
@@ -136,7 +135,7 @@ class TestRackFailure:
     def test_the_placement_survives_a_whole_rack(self, n):
         # machines 0..4n-1 form the owner rack, 4n..7n-1 the user rack
         owner_rack, user_rack = range(4 * n), range(4 * n, 7 * n)
-        for half, ids in build_placement(n).half_hosts().items():
+        for half, ids in placement_hosts(n).items():
             assert any(i in owner_rack for i in ids), half
             assert any(i in user_rack for i in ids), half
         assert not scenario_loss(n, owner_rack, "structural")
@@ -155,7 +154,7 @@ class TestHostingSets:
         assert sorted(
             i for b in plan.owner_blocks + plan.user_blocks for i in b.machine_ids
         ) == list(range(m))
-        hosts = plan.half_hosts()
+        hosts = placement_hosts(n)
         assert set(hosts) == {(node, half) for node in range(1, n + 1) for half in "AB"}
         # each machine hosts one half, so the host lists partition the machines
         assert sorted(i for ids in hosts.values() for i in ids) == list(range(m))
@@ -169,13 +168,13 @@ class TestHostingSets:
             return (i - 1) % n + 1
 
         for i, (owner, user) in enumerate(zip(plan.owner_blocks, plan.user_blocks), 1):
-            assert [str(e) for e in owner.entries] == [
+            assert list(owner.entries) == [
                 f"P{i}", f"S1_{wrap(i + 1)}", f"S2_{wrap(i + 2)}"
             ]
             assert [halves[j] for j in owner.machine_ids] == [
                 (i, "A"), (i, "B"), (wrap(i + 1), "A"), (wrap(i + 2), "B")
             ]
-            assert [str(e) for e in user.entries] == [
+            assert list(user.entries) == [
                 f"S1_{i}", f"S2_{wrap(i + 1)}", f"S1_{wrap(i + 2)}"
             ]
             assert [halves[j] for j in user.machine_ids] == [
@@ -197,9 +196,9 @@ class TestHostingSets:
         assert triples.tolist() == [list(b.machine_ids) for b in plan.user_blocks]
 
     def test_structural_sets_are_the_placements_half_hosts(self):
-        # the slot arithmetic against the plan it describes, block by block
+        # the walked layout against the hand-written slot table
         for n in [*range(3, 301), 9363]:
-            hosts = build_placement(n).half_hosts()
+            hosts = slot_hosts(n)
             quads, triples = _hosting_sets(n, "structural")
             assert quads.tolist() == [list(hosts[(i, "A")]) for i in range(1, n + 1)], n
             assert triples.tolist() == [list(hosts[(i, "B")]) for i in range(1, n + 1)], n
@@ -473,7 +472,7 @@ class TestChunkKernel:
     def test_row_slabs_match_whole_block(self, n, rows):
         views = [_member_columns(s) for s in _hosting_sets(n, "group")]
         gathers = [list(s.T) for s in _hosting_sets(n, "group")]  # no views
-        hosts = build_placement(n).half_hosts() if n >= 3 else None
+        hosts = slot_hosts(n) if n >= 3 else None
         for p in self.PS:
             lanes = _replay_chunk(5, 0, rows, n, p)
             words = _kernel_words(5, 0, rows, n, p)
@@ -661,7 +660,7 @@ class TestExhaustive:
         owner_block = plan.owner_blocks[0].machine_ids
         assert scenario_loss(3, owner_block, "group")
         assert not scenario_loss(3, owner_block, "structural")
-        half_hosts = plan.half_hosts()[(1, "A")]
+        half_hosts = slot_hosts(3)[(1, "A")]
         assert not scenario_loss(3, half_hosts, "group")
         assert scenario_loss(3, half_hosts, "structural")
 
@@ -708,7 +707,7 @@ class TestExhaustive:
         scenarios = (block << 15) + np.arange(1 << 15)
         assert np.array_equal(rows, scenarios[:, None] >> np.arange(21) & 1 == 1)
         lost = _lanes(_lost_rows(words, families)).ravel()
-        hosts = build_placement(3).half_hosts() if mode == "structural" else None
+        hosts = slot_hosts(3) if mode == "structural" else None
         assert np.array_equal(lost, _whole_block_losses(rows, 3, hosts))
         assert 0 < lost.sum() < lost.size
         for s in range(0, 1 << 15, 997):

@@ -4,6 +4,9 @@ A private name (one leading underscore, dunders exempt) belongs to its
 module; a sibling that needs it reads a public name instead.  The check
 parses every module with `ast` and flags `from .x import _y` and `x._y`,
 where `x` is a sibling module bound by `from . import x`.
+
+The cyclic placement's layout, its block sizes included, is stated once in
+`replication`: no other module names the block sizes.
 """
 
 import ast
@@ -13,6 +16,7 @@ import cloudalloc
 
 PACKAGE = Path(cloudalloc.__file__).parent
 SIBLINGS = frozenset(path.stem for path in PACKAGE.glob("*.py"))
+BLOCK_SIZES = frozenset({"OWNER_MACHINES_PER_BLOCK", "USER_MACHINES_PER_BLOCK"})
 
 
 def is_private(name: str) -> bool:
@@ -65,3 +69,33 @@ def test_check_flags_both_forms(tmp_path):
         "probe.py:3 dynamics._step",
         "probe.py:3 model._private",
     ]
+
+
+def names(path: Path) -> set[str]:
+    """Every name a module uses, imports or reads as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_only_replication_names_the_block_sizes(tmp_path):
+    hits = {
+        path.name: sorted(found)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "replication" and (found := names(path) & BLOCK_SIZES)
+    }
+    assert hits == {}
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from .replication import OWNER_MACHINES_PER_BLOCK as owner\n"
+        "from . import replication\n"
+        "size = replication.USER_MACHINES_PER_BLOCK\n"
+    )
+    assert names(module) & BLOCK_SIZES == BLOCK_SIZES

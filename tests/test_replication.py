@@ -11,41 +11,39 @@ from cloudalloc.replication import (
     LOSS_METHODS,
     _split_sum,
     build_placement,
+    half_host_ids,
     loss_curve,
     loss_polynomial,
     owner_machine_ids,
     prob_data_loss,
     prob_f_failures,
     prob_no_loss,
-    render_plan,
     user_machine_ids,
 )
+from conftest import placement_hosts, slot_hosts, slot_table
 
 
 def block_members(block):
-    return [str(e) for e in block.entries]
+    return list(block.entries)
 
 
-def slot_table(n):
-    """The (node, half) of every machine id, written out slot by slot:
-    owner block i hosts P_i's halves A and B, S1_{i+1}'s half A and
-    S2_{i+2}'s half B; user block i hosts S1_i's half A, S2_{i+1}'s half B
-    and S1_{i+2}'s half A."""
-    def wrap(i):
-        return (i - 1) % n + 1
-
+def block_halves(block):
+    """Each machine of a block with the (node, half) it hosts, read off the
+    block's labels: a primary hosts both halves, S1 half A, S2 half B."""
     halves = []
-    for i in range(1, n + 1):
-        halves += [(i, "A"), (i, "B"), (wrap(i + 1), "A"), (wrap(i + 2), "B")]
-    for i in range(1, n + 1):
-        halves += [(i, "A"), (wrap(i + 1), "B"), (wrap(i + 2), "A")]
-    return halves
+    for label in block.entries:
+        if label.startswith("P"):
+            halves += [(int(label[1:]), "A"), (int(label[1:]), "B")]
+        else:
+            kind, node = label.split("_")
+            halves.append((int(node), "A" if kind == "S1" else "B"))
+    return list(zip(block.machine_ids, halves, strict=True))
 
 
-def machine_halves(plan):
-    """Invert `half_hosts()`: machine id -> the one (node, half) it hosts,
-    in id order.  A machine listed under two halves fails here."""
-    pairs = sorted((i, half) for half, ids in plan.half_hosts().items() for i in ids)
+def machine_halves(n):
+    """Invert `half_host_ids(n)`: machine id -> the one (node, half) it
+    hosts, in id order.  A machine listed under two halves fails here."""
+    pairs = sorted((i, half) for half, ids in placement_hosts(n).items() for i in ids)
     assert len({i for i, _ in pairs}) == len(pairs), "a machine hosts two halves"
     return dict(pairs)
 
@@ -116,19 +114,20 @@ class TestPlacement:
             ["S1_2", "S2_3", "S1_1"],
             ["S1_3", "S2_1", "S1_2"],
         ]
-        assert list(machine_halves(plan)) == list(range(21))
+        assert list(machine_halves(3)) == list(range(21))
 
     def test_too_few_nodes(self):
-        with pytest.raises(ValueError, match="placement requires n >= 3 nodes, got 2"):
-            build_placement(2)
+        for layout in (build_placement, half_host_ids):
+            with pytest.raises(ValueError, match="placement requires n >= 3 nodes, got 2"):
+                layout(2)
 
     def test_too_many_nodes_refused(self):
-        with pytest.raises(ValueError, match="^n = 50001 nodes exceed the placement limit"):
-            build_placement(50_001)
+        for layout in (build_placement, half_host_ids):
+            with pytest.raises(ValueError, match="^n = 50001 nodes exceed the placement limit"):
+                layout(50_001)
 
     def test_ten_nodes_has_seventy_machines(self):
-        plan = build_placement(10)
-        assert list(machine_halves(plan)) == list(range(70))
+        assert list(machine_halves(10)) == list(range(70))
 
     def test_machine_counts_per_block(self):
         plan = build_placement(5)
@@ -138,8 +137,7 @@ class TestPlacement:
             assert len(b.machine_ids) == 3
 
     def test_each_machine_hosts_one_half(self):
-        plan = build_placement(6)
-        halves = machine_halves(plan)
+        halves = machine_halves(6)
         assert list(halves) == list(range(42))
         for node, half in halves.values():
             assert 1 <= node <= 6 and half in ("A", "B")
@@ -151,25 +149,24 @@ class TestPlacement:
         assert block_members(plan.user_blocks[4]) == ["S1_5", "S2_1", "S1_2"]
 
     def test_half_host_counts(self):
-        plan = build_placement(7)
-        hosts = plan.half_hosts()
-        for node in range(1, 8):
-            # half A: primary machine + three S1 entries; half B: primary + two S2
-            assert len(hosts[(node, "A")]) == 4
-            assert len(hosts[(node, "B")]) == 3
+        quads, triples = half_host_ids(7)
+        # half A: primary machine + three S1 entries; half B: primary + two S2
+        assert [len(ids) for ids in quads] == [4] * 7
+        assert [len(ids) for ids in triples] == [3] * 7
 
     def test_halves_follow_the_slot_table(self):
+        # the plan's labels and the walked hosts, each against the table
         for n in range(3, 61):
             plan = build_placement(n)
-            halves = machine_halves(plan)
-            assert list(halves) == list(range(7 * n))
-            assert list(halves.values()) == slot_table(n), n
+            slots = [pair for b in plan.owner_blocks + plan.user_blocks for pair in block_halves(b)]
+            assert slots == list(enumerate(slot_table(n))), n
+            assert placement_hosts(n) == slot_hosts(n), n
 
     def test_machine_ids_cover_range_once(self):
         plan = build_placement(4)
         ids = [i for b in plan.owner_blocks + plan.user_blocks for i in b.machine_ids]
         assert ids == list(range(28))
-        assert list(machine_halves(plan)) == ids
+        assert list(machine_halves(4)) == ids
 
     def test_groups_partition_machines(self):
         seen = set()
@@ -178,13 +175,6 @@ class TestPlacement:
             assert len(group) == 7
             seen.update(group)
         assert seen == set(range(28))
-
-    def test_render_plan_one_block_per_line(self):
-        plan = build_placement(3)
-        lines = render_plan(plan).strip().splitlines()
-        assert len(lines) == 6
-        assert lines[0] == "owner 1 P1 S1_2 S2_3 machines=0,1,2,3"
-        assert lines[3] == "user 1 S1_1 S2_2 S1_3 machines=12,13,14"
 
 
 class TestBasePolynomial:
