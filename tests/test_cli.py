@@ -835,6 +835,11 @@ class TestAnalysisCommands:
         assert [row.split(",")[0] for row in lines[3:]] == ["1", "10", "20"]
 
     def test_placement_text(self, capsys):
+        assert run(["placement", "--nodes", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "owner 1 P1 S1_2 S2_3 machines=0,1,2,3" in out
+
+    def test_placement_text_one_block_per_line(self, capsys):
         # the comment header, then one block per line
         assert run(["placement", "--nodes", "3"]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
